@@ -1,6 +1,6 @@
-// Standalone critical-extraction benchmark: times the hashed baseline
-// against the indexed strategy (serial and sharded) on one realistic epoch
-// and writes the numbers to BENCH_critical.json.
+// Standalone critical-extraction benchmark: times the indexed extraction,
+// serial and sharded, on one realistic epoch and writes the numbers to
+// BENCH_critical.json.
 //
 // Unlike the google-benchmark microbenches (perf_engine), this harness is a
 // plain main() so CI can run it in smoke mode and the JSON can be checked
@@ -13,7 +13,7 @@
 //   VIDQUAL_CRIT_SHARDS    shard count for the sharded run   (default 4)
 //
 // Smoke mode shrinks both knobs so the whole binary finishes in seconds; it
-// still exercises every strategy and the equality check.
+// still exercises both variants and the bit-identity check.
 
 #include <chrono>
 #include <cstdio>
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   // One epoch over a compact attribute universe: leaves repeat heavily,
   // clusters clear the significance floor — the regime the paper's traces
-  // live in and the one both strategies are built for.
+  // live in.
   WorldConfig world_config;
   world_config.num_sites = 20;
   world_config.num_cdns = 3;
@@ -95,54 +95,46 @@ int main(int argc, char** argv) {
 
   // A "rep" covers all four metrics, matching what the pipeline does per
   // epoch — so reps/sec is directly epochs/sec of critical extraction.
-  const double hash_s = time_reps(reps, [&] {
+  const auto run = [&](ThreadPool* p, std::size_t n_shards) {
     for (const Metric m : kAllMetrics) {
-      const auto a = find_critical_clusters_hashed(fold, table, params, m);
+      const auto a = find_critical_clusters(fold, table, params, m, p,
+                                            n_shards);
       if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
     }
-  });
-  const double indexed_s = time_reps(reps, [&] {
-    for (const Metric m : kAllMetrics) {
-      const auto a = find_critical_clusters_indexed(table, params, m);
-      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-    }
-  });
-  const double sharded_s = time_reps(reps, [&] {
-    for (const Metric m : kAllMetrics) {
-      const auto a =
-          find_critical_clusters_indexed(table, params, m, &pool, shards);
-      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-    }
-  });
+  };
+  const double indexed_s = time_reps(reps, [&] { run(nullptr, 1); });
+  const double sharded_s = time_reps(reps, [&] { run(&pool, shards); });
 
-  // Differential sanity: strategies must agree exactly before the numbers
-  // mean anything (the full check lives in test_critical_differential.cpp).
+  // Bit-identity, serial vs sharded, before the numbers mean anything (the
+  // oracle differential lives in tests/test_critical_differential.cpp).
   std::size_t criticals = 0;
   for (const Metric m : kAllMetrics) {
-    const auto h = find_critical_clusters_hashed(fold, table, params, m);
-    const auto x =
-        find_critical_clusters_indexed(table, params, m, &pool, shards);
-    if (h.criticals.size() != x.criticals.size() ||
-        h.attributed_mass != x.attributed_mass ||
-        h.problem_cluster_keys != x.problem_cluster_keys) {
-      std::fprintf(stderr, "FATAL: strategies disagree on metric %d\n",
+    const auto a = find_critical_clusters(fold, table, params, m);
+    const auto b = find_critical_clusters(fold, table, params, m, &pool,
+                                          shards);
+    bool same = a.criticals.size() == b.criticals.size() &&
+                a.attributed_mass == b.attributed_mass &&
+                a.problem_sessions_in_pc == b.problem_sessions_in_pc &&
+                a.problem_cluster_keys == b.problem_cluster_keys;
+    for (std::size_t i = 0; same && i < a.criticals.size(); ++i) {
+      same = a.criticals[i].key == b.criticals[i].key &&
+             a.criticals[i].attributed == b.criticals[i].attributed;
+    }
+    if (!same) {
+      std::fprintf(stderr, "FATAL: serial and sharded disagree on metric %d\n",
                    static_cast<int>(m));
       return 1;
     }
-    criticals += h.criticals.size();
+    criticals += a.criticals.size();
   }
 
   const double n = static_cast<double>(reps);
-  const double hash_eps = n / hash_s;
   const double indexed_eps = n / indexed_s;
   const double sharded_eps = n / sharded_s;
-  const double speedup = indexed_eps / hash_eps;
 
-  std::printf("  hashed          : %8.2f epochs/sec\n", hash_eps);
-  std::printf("  indexed         : %8.2f epochs/sec  (%.2fx)\n", indexed_eps,
-              speedup);
+  std::printf("  indexed         : %8.2f epochs/sec\n", indexed_eps);
   std::printf("  indexed x%zu     : %8.2f epochs/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / hash_eps);
+              sharded_eps, sharded_eps / indexed_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -158,10 +150,8 @@ int main(int argc, char** argv) {
       << "  \"critical_clusters\": " << criticals << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"shards\": " << shards << ",\n"
-      << "  \"hash_epochs_per_sec\": " << hash_eps << ",\n"
       << "  \"indexed_epochs_per_sec\": " << indexed_eps << ",\n"
-      << "  \"indexed_sharded_epochs_per_sec\": " << sharded_eps << ",\n"
-      << "  \"speedup_indexed_vs_hash\": " << speedup << "\n"
+      << "  \"indexed_sharded_epochs_per_sec\": " << sharded_eps << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

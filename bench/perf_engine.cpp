@@ -95,7 +95,7 @@ BENCHMARK(BM_AggregateEpoch)->Arg(2)->Arg(4)->Arg(7);
 
 /// An epoch with a controlled sessions-per-leaf ratio: `num_sessions`
 /// sessions cycling over exactly `distinct_leaves` attribute combinations.
-/// This is the knob the folded engine's win depends on.
+/// This is the knob the two-pass fold's cost depends on.
 std::vector<Session> leaf_ratio_epoch(std::size_t num_sessions,
                                       std::size_t distinct_leaves) {
   std::vector<Session> sessions;
@@ -119,21 +119,6 @@ std::vector<Session> leaf_ratio_epoch(std::size_t num_sessions,
 }
 
 constexpr std::size_t kLeafRatioSessions = 50'000;
-
-void BM_AggregateEpochUnfoldedByLeafRatio(benchmark::State& state) {
-  const auto ratio = static_cast<std::size_t>(state.range(0));
-  const std::vector<Session> sessions =
-      leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / ratio);
-  const ProblemThresholds thresholds;
-  for (auto _ : state) {
-    const auto table = aggregate_epoch_unfolded(sessions, thresholds, {}, 0);
-    benchmark::DoNotOptimize(table.clusters.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(sessions.size()));
-}
-BENCHMARK(BM_AggregateEpochUnfoldedByLeafRatio)
-    ->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_AggregateEpochFoldedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));
@@ -168,7 +153,7 @@ void BM_ExpandFoldSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandFoldSharded)->Arg(1)->Arg(2)->Arg(4);
 
-// --- critical extraction: hashed baseline vs indexed strategy ---------------
+// --- critical extraction, serial and sharded --------------------------------
 // Shared fixture: one fold + one indexed table per process, so the loops
 // time extraction alone (not aggregation).
 
@@ -188,23 +173,11 @@ const CriticalFixture& critical_fixture() {
   return fixture;
 }
 
-void BM_CriticalHash(benchmark::State& state) {
-  const CriticalFixture& f = critical_fixture();
-  for (auto _ : state) {
-    const auto analysis = find_critical_clusters_hashed(
-        f.fold, f.table, f.params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(f.fold.leaves.size()));
-}
-BENCHMARK(BM_CriticalHash);
-
 void BM_CriticalIndexed(benchmark::State& state) {
   const CriticalFixture& f = critical_fixture();
   for (auto _ : state) {
-    const auto analysis =
-        find_critical_clusters_indexed(f.table, f.params, Metric::kBufRatio);
+    const auto analysis = find_critical_clusters(f.fold, f.table, f.params,
+                                                 Metric::kBufRatio);
     benchmark::DoNotOptimize(analysis.criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -217,32 +190,14 @@ void BM_CriticalIndexedSharded(benchmark::State& state) {
   const CriticalFixture& f = critical_fixture();
   ThreadPool pool{4};
   for (auto _ : state) {
-    const auto analysis = find_critical_clusters_indexed(
-        f.table, f.params, Metric::kBufRatio, &pool, shards);
+    const auto analysis = find_critical_clusters(
+        f.fold, f.table, f.params, Metric::kBufRatio, &pool, shards);
     benchmark::DoNotOptimize(analysis.criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(f.fold.leaves.size()));
 }
 BENCHMARK(BM_CriticalIndexedSharded)->Arg(2)->Arg(4);
-
-void BM_CriticalHashByLeafRatio(benchmark::State& state) {
-  const auto ratio = static_cast<std::size_t>(state.range(0));
-  const std::vector<Session> sessions =
-      leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / ratio);
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 100};
-  const LeafFold fold = fold_sessions(sessions, {}, 0);
-  const EpochClusterTable table = expand_fold(fold, {});
-  for (auto _ : state) {
-    const auto analysis =
-        find_critical_clusters_hashed(fold, table, params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fold.leaves.size()));
-}
-BENCHMARK(BM_CriticalHashByLeafRatio)->Arg(4)->Arg(16);
 
 void BM_CriticalIndexedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));
@@ -254,7 +209,7 @@ void BM_CriticalIndexedByLeafRatio(benchmark::State& state) {
   const EpochClusterTable table = expand_fold(fold, {});
   for (auto _ : state) {
     const auto analysis =
-        find_critical_clusters_indexed(table, params, Metric::kBufRatio);
+        find_critical_clusters(fold, table, params, Metric::kBufRatio);
     benchmark::DoNotOptimize(analysis.criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *

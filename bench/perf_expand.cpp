@@ -1,8 +1,7 @@
-// Standalone lattice-expansion benchmark: times pass 2 (expand_fold) under
-// the retained hashed engine against the mask-major hash-free engine
-// (scalar fallback, the widest SIMD path the build supports, and the
-// head-sharded parallel variant) on one realistic epoch fold and writes the
-// numbers to BENCH_expand.json.
+// Standalone lattice-expansion benchmark: times pass 2 (expand_fold) — the
+// scalar fallback kernel, the widest SIMD path the build supports (kAuto),
+// and the sharded parallel variant — on one realistic epoch fold and
+// writes the numbers to BENCH_expand.json.
 //
 // Like perf_fold, this is a plain main() so CI can run it in smoke mode
 // (the bench-smoke gate diffs it against bench/baselines/expand_smoke.json
@@ -18,6 +17,7 @@
 // Smoke mode shrinks the knobs so the whole binary finishes in seconds; it
 // still exercises every variant and the bit-identity check.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,18 +47,17 @@ double time_reps(std::size_t reps, F&& body) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Exact cell-content equality (root + every cluster cell, both ways).
+/// Exact equality, id for id: root, every cell, and the leaf index.
 bool tables_identical(const vq::EpochClusterTable& a,
                       const vq::EpochClusterTable& b) {
-  if (!(a.root == b.root) || a.clusters.size() != b.clusters.size()) {
-    return false;
-  }
-  bool same = true;
-  a.clusters.for_each([&](std::uint64_t raw, const vq::ClusterStats& stats) {
-    const vq::ClusterStats* other = b.clusters.find(raw);
-    if (other == nullptr || !(stats == *other)) same = false;
-  });
-  return same;
+  const auto& ka = a.clusters.keys();
+  const auto& kb = b.clusters.keys();
+  const auto& ca = a.clusters.cells();
+  const auto& cb = b.clusters.cells();
+  return a.root == b.root && std::equal(ka.begin(), ka.end(), kb.begin(),
+                                        kb.end()) &&
+         std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()) &&
+         a.leaf_index.cell_rows == b.leaf_index.cell_rows;
 }
 
 }  // namespace
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
 
   // Same default bench world as perf_fold: one epoch over a compact
   // attribute universe, so leaves repeat heavily and the expansion — not
-  // the fold — dominates, exactly the regime the mask-major engine targets.
+  // the fold — dominates.
   WorldConfig world_config;
   world_config.num_sites = 20;
   world_config.num_cdns = 3;
@@ -104,11 +103,9 @@ int main(int argc, char** argv) {
   const ProblemThresholds thresholds;
   const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
 
-  ClusterEngineConfig hashed_config;
-  hashed_config.expand = ExpandStrategy::kHashed;
   ClusterEngineConfig scalar_config;
   scalar_config.expand_kernel = BatchKernel::kScalar;
-  const ClusterEngineConfig mm_config;  // defaults: mask-major, kAuto
+  const ClusterEngineConfig mm_config;  // default kernel: kAuto
 
   std::printf("perf_expand: %zu sessions, %zu leaves, %zu reps, kernel %s\n",
               trace.size(), fold.leaves.size(), reps,
@@ -120,8 +117,6 @@ int main(int argc, char** argv) {
   const auto check = [&](const EpochClusterTable& table) {
     if (table.root.sessions != trace.size()) std::abort();
   };
-  const double hashed_s =
-      time_reps(reps, [&] { check(expand_fold(fold, hashed_config)); });
   const double scalar_s =
       time_reps(reps, [&] { check(expand_fold(fold, scalar_config)); });
   const double simd_s =
@@ -132,31 +127,26 @@ int main(int argc, char** argv) {
 
   // Bit-identity before the numbers mean anything (the full differential
   // lives in tests/test_expand_differential.cpp).
-  const EpochClusterTable hashed_table = expand_fold(fold, hashed_config);
-  if (!tables_identical(hashed_table, expand_fold(fold, scalar_config)) ||
-      !tables_identical(hashed_table, expand_fold(fold, mm_config)) ||
-      !tables_identical(hashed_table,
-                        expand_fold(fold, mm_config, &pool, shards))) {
-    std::fprintf(stderr, "FATAL: expansion engines disagree\n");
+  const EpochClusterTable table = expand_fold(fold, mm_config);
+  if (!tables_identical(table, expand_fold(fold, scalar_config)) ||
+      !tables_identical(table, expand_fold(fold, mm_config, &pool, shards))) {
+    std::fprintf(stderr, "FATAL: scalar, kAuto and sharded disagree\n");
     return 1;
   }
 
   const double n = static_cast<double>(reps);
-  const double hashed_eps = n / hashed_s;
   const double scalar_eps = n / scalar_s;
   const double simd_eps = n / simd_s;
   const double sharded_eps = n / sharded_s;
   const double leaves_per_sec =
       simd_eps * static_cast<double>(fold.leaves.size());
 
-  std::printf("  hashed            : %8.2f expands/sec\n", hashed_eps);
-  std::printf("  mask-major scalar : %8.2f expands/sec  (%.2fx)\n",
-              scalar_eps, scalar_eps / hashed_eps);
+  std::printf("  mask-major scalar : %8.2f expands/sec\n", scalar_eps);
   std::printf("  mask-major %-6s : %8.2f expands/sec  (%.2fx, %.1fM leaves/s)\n",
               std::string{batch_kernel_name()}.c_str(), simd_eps,
-              simd_eps / hashed_eps, leaves_per_sec / 1e6);
+              simd_eps / scalar_eps, leaves_per_sec / 1e6);
   std::printf("  mask-major x%-5zu : %8.2f expands/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / hashed_eps);
+              sharded_eps, sharded_eps / simd_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -169,16 +159,13 @@ int main(int argc, char** argv) {
       << "  \"kernel\": \"" << batch_kernel_name() << "\",\n"
       << "  \"sessions\": " << trace.size() << ",\n"
       << "  \"leaves\": " << fold.leaves.size() << ",\n"
-      << "  \"cells\": " << hashed_table.clusters.size() << ",\n"
+      << "  \"cells\": " << table.clusters.size() << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"shards\": " << shards << ",\n"
-      << "  \"hashed_expands_per_sec\": " << hashed_eps << ",\n"
       << "  \"maskmajor_scalar_expands_per_sec\": " << scalar_eps << ",\n"
       << "  \"maskmajor_expands_per_sec\": " << simd_eps << ",\n"
       << "  \"maskmajor_sharded_expands_per_sec\": " << sharded_eps << ",\n"
-      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << ",\n"
-      << "  \"speedup_maskmajor_vs_hashed\": " << simd_eps / hashed_eps
-      << "\n"
+      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -135,9 +135,9 @@ struct SketchAdmissionReport {
 /// space-saving summary (and the count-min cross-check) and accumulates the
 /// exact root; pass 2 folds only sessions whose leaf survived into the
 /// LeafFold, in stream order, so admitted leaves carry their exact stats
-/// and downstream analyses (incremental or from-scratch) see an exact
-/// sub-lattice.  The root is always exact — global problem ratios, and
-/// therefore the flagging thresholds, are unaffected by the cut.
+/// and the downstream lattice is an exact sub-lattice.  The root is always
+/// exact — global problem ratios, and therefore the flagging thresholds,
+/// are unaffected by the cut.
 /// Deterministic for a given input; not thread-safe (streaming epochs are
 /// sequential).  Reusable across epochs; scratch capacity is retained.
 class SketchAdmission {

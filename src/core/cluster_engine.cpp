@@ -2,24 +2,20 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "src/core/expand_kernels.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
 
-void CellStore::throw_sorted_mutation() {
-  throw std::logic_error{
-      "CellStore: mutation of a sorted (mask-major) store"};
-}
-
-std::uint32_t CellStore::sorted_id_of(std::uint64_t raw) const noexcept {
+std::uint32_t CellStore::id_of(std::uint64_t raw) const noexcept {
   const std::size_t mask = raw & kFullMask;
   const auto begin = keys_.begin() + mask_offsets_[mask];
   const auto end = keys_.begin() + mask_offsets_[mask + 1];
@@ -46,7 +42,6 @@ CellStore CellStore::from_mask_major(
     }
   }
   CellStore out;
-  out.sorted_ = true;
   out.keys_ = std::move(keys);
   out.stats_ = std::move(stats);
   out.mask_offsets_ = mask_offsets;
@@ -91,7 +86,8 @@ LeafFold fold_sessions(std::span<const Session> sessions,
   for (const Session& s : sessions) {
     if (s.epoch != epoch) {
       throw std::invalid_argument{
-          "aggregate_epoch: session epoch mismatch"};
+          "fold_sessions: session epoch " + std::to_string(s.epoch) +
+          " does not match the folded epoch " + std::to_string(epoch)};
     }
     const std::uint8_t bits = thresholds.problem_bits(s.quality);
     ClusterStats& leaf =
@@ -120,117 +116,19 @@ struct ExpandMetrics {
   obs::Counter& leaves;
   obs::Counter& cells;
   obs::Counter& radix_bytes;
-  obs::Gauge& reserve_fill_pct;
 };
 
-/// One registration for both engines, so every snapshot that saw an
-/// expansion carries all expand.* metrics whichever strategy ran.
 /// expand.radix_bytes is kStable: radix traffic is a pure function of the
 /// per-mask source sizes (cell counts) and radix plans, and the source
 /// choice is itself a deterministic function of those counts — independent
 /// of shard count and SIMD kernel.
-/// expand.reserve_fill_pct depends on the hashed engine's shard split, so
-/// it is kRuntime (excluded from determinism-checked snapshots).
 ExpandMetrics& expand_metrics() {
   static ExpandMetrics metrics{
       obs::Registry::global().counter("expand.leaves"),
       obs::Registry::global().counter("expand.cells"),
       obs::Registry::global().counter("expand.radix_bytes"),
-      obs::Registry::global().gauge("expand.reserve_fill_pct",
-                                    obs::Determinism::kRuntime),
   };
   return metrics;
-}
-
-/// Hashed reserve heuristic: |masks| bounds the per-leaf cell count exactly
-/// for low-arity caps, and 8x leaves caps the overcommit for the full
-/// 127-mask lattice where sharing is heavy.  The realised fill ratio is
-/// exported via expand.reserve_fill_pct so the heuristic stays measurable.
-[[nodiscard]] std::size_t hashed_reserve(std::size_t num_leaves,
-                                         std::size_t num_masks) noexcept {
-  return num_leaves * std::min<std::size_t>(num_masks, 8) + 64;
-}
-
-/// Hashed engine inner loop: expands leaves [lo, hi) across `masks` into
-/// `out`, one hash bump per (leaf, mask).  When `rows` is non-null it
-/// receives the dense cell ids of every projection, row-major starting at
-/// leaf `lo` — the LeafCellIndex falls out of the same id_or_insert that
-/// bumps the counters, so indexing costs no extra hashing.
-void expand_leaf_range(std::span<const std::uint64_t> leaf_keys,
-                       std::span<const ClusterStats> leaf_stats,
-                       std::size_t lo, std::size_t hi,
-                       const std::vector<std::uint8_t>& masks, CellStore& out,
-                       std::uint32_t* rows) {
-  out.reserve(hashed_reserve(hi - lo, masks.size()));
-  for (std::size_t i = lo; i < hi; ++i) {
-    const ClusterKey leaf = ClusterKey::from_raw(leaf_keys[i]);
-    for (std::size_t j = 0; j < masks.size(); ++j) {
-      const std::uint32_t id =
-          out.bump(leaf.project(masks[j]).raw(), leaf_stats[i]);
-      if (rows != nullptr) rows[(i - lo) * masks.size() + j] = id;
-    }
-  }
-}
-
-/// The retained hashed engine (ExpandStrategy::kHashed): the original
-/// contiguous-leaf-range sharding + in-order merge.
-void expand_fold_hashed(std::span<const std::uint64_t> leaf_keys,
-                        std::span<const ClusterStats> leaf_stats,
-                        const std::vector<std::uint8_t>& masks,
-                        EpochClusterTable& table, std::uint32_t* rows,
-                        ThreadPool* pool, std::size_t shards) {
-  const std::size_t num_leaves = leaf_keys.size();
-  std::size_t reserved = hashed_reserve(num_leaves, masks.size());
-  if (pool == nullptr || shards <= 1 ||
-      num_leaves < 2 * kMinLeavesPerShard) {
-    expand_leaf_range(leaf_keys, leaf_stats, 0, num_leaves, masks,
-                      table.clusters, rows);
-  } else {
-    shards = std::min(shards, num_leaves / kMinLeavesPerShard);
-    // Cut the sorted leaf array into contiguous ranges: every leaf lands in
-    // exactly one shard, so the shard stores are disjoint sums whose merge
-    // (uint32 addition, commutative + associative) matches the serial
-    // expansion bit for bit.  Because the merge walks shards in range order
-    // and each shard discovers cells in its range's first-touch order, the
-    // remapped dense ids come out identical to the serial assignment too.
-    std::vector<CellStore> shard_stores(shards);
-    std::vector<std::size_t> bounds(shards + 1);
-    for (std::size_t s = 0; s <= shards; ++s) {
-      bounds[s] = num_leaves * s / shards;
-    }
-    pool->parallel_for(0, shards, [&](std::size_t shard) {
-      std::uint32_t* shard_rows =
-          rows == nullptr ? nullptr : rows + bounds[shard] * masks.size();
-      expand_leaf_range(leaf_keys, leaf_stats, bounds[shard],
-                        bounds[shard + 1], masks, shard_stores[shard],
-                        shard_rows);
-    });
-
-    VQ_SPAN("expand.merge");
-    reserved = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      reserved += hashed_reserve(bounds[s + 1] - bounds[s], masks.size());
-    }
-    table.clusters = std::move(shard_stores[0]);
-    for (std::size_t shard = 1; shard < shards; ++shard) {
-      const CellStore& local = shard_stores[shard];
-      // Merge counters and build the local-id -> global-id remap in local
-      // id order, then rewrite the shard's row slots in place.
-      std::vector<std::uint32_t> remap(local.size());
-      for (std::uint32_t lid = 0; lid < local.size(); ++lid) {
-        remap[lid] = table.clusters.bump(local.key(lid), local.cell(lid));
-      }
-      if (rows != nullptr) {
-        const std::size_t begin = bounds[shard] * masks.size();
-        const std::size_t end = bounds[shard + 1] * masks.size();
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          rows[slot] = remap[rows[slot]];
-        }
-      }
-    }
-  }
-  expand_metrics().reserve_fill_pct.set(static_cast<std::int64_t>(
-      100 * table.clusters.size() / reserved));
 }
 
 /// Marker for "this mask folds straight from the leaf arrays" (either the
@@ -238,8 +136,8 @@ void expand_fold_hashed(std::span<const std::uint64_t> leaf_keys,
 constexpr std::uint32_t kLeafSource = 0xFFFFFFFFu;
 
 /// One mask's aggregation output: distinct projected keys (ascending),
-/// folded stats, and — when the LeafCellIndex is being built — the rank map
-/// from the source's cell index to this mask's local rank.  `source` is the
+/// folded stats, and the rank map from the source's cell index to this
+/// mask's local rank (for the LeafCellIndex).  `source` is the
 /// index (into `masks`) of the already-aggregated parent this mask folded
 /// from, or kLeafSource.
 struct MaskCells {
@@ -274,7 +172,7 @@ struct MaskCells {
   return static_cast<std::uint64_t>(source_cells) * (1 + passes);
 }
 
-/// Mask-major engine unit of work: folds one mask's cells from its chosen
+/// Unit of work: folds one mask's cells from its chosen
 /// source (smallest already-aggregated strict superset, or the leaves).
 /// Prefix-aligned sources fold in one linear run scan; otherwise the
 /// (projected key, source row) pairs are radix-sorted first.  Because
@@ -285,7 +183,7 @@ std::uint64_t expand_mask(std::size_t j,
                           const std::vector<std::uint8_t>& masks,
                           std::span<const std::uint64_t> leaf_keys,
                           std::span<const ClusterStats> leaf_stats,
-                          BatchKernel kernel, bool want_map,
+                          BatchKernel kernel,
                           std::vector<MaskCells>& cells,
                           ExpandScratch& scratch) {
   const std::uint8_t mask = masks[j];
@@ -348,7 +246,7 @@ std::uint64_t expand_mask(std::size_t j,
   VQ_SPAN("expand.accumulate");
   out.keys.reserve(sn);
   out.stats.reserve(sn);
-  if (want_map) out.src_map.resize(sn);
+  out.src_map.resize(sn);
   // Run-local accumulator: stats fold in registers and flush once per run,
   // instead of a read-modify-write into the stats vector per source cell.
   std::uint64_t prev = ~std::uint64_t{0};  // bit 63 of a packed key is 0
@@ -367,10 +265,8 @@ std::uint64_t expand_mask(std::size_t j,
     } else {
       run += src_stats[si];
     }
-    if (want_map) {
-      // The open run's rank is the number of already-flushed runs.
-      out.src_map[si] = static_cast<std::uint32_t>(out.keys.size());
-    }
+    // The open run's rank is the number of already-flushed runs.
+    out.src_map[si] = static_cast<std::uint32_t>(out.keys.size());
   }
   if (prev != ~std::uint64_t{0}) {
     out.keys.push_back(prev);
@@ -415,9 +311,8 @@ std::vector<std::uint32_t> assemble_mask_major(
   return base;
 }
 
-/// The mask-major hash-free engine (ExpandStrategy::kMaskMajor), organised
-/// as a smallest-parent aggregation DAG: masks are processed tier by tier in
-/// decreasing arity, and each mask folds from the cheapest already-computed
+/// The expansion, organised as a smallest-parent aggregation DAG: masks are
+/// processed tier by tier in decreasing arity, and each mask folds from the cheapest already-computed
 /// strict superset (one extra dim) instead of rescanning all leaves — the
 /// data-cube trick.  Top-tier masks (and masks whose supersets are all
 /// larger than the leaf array) fold straight from the leaves.  Sharding is
@@ -427,15 +322,13 @@ std::vector<std::uint32_t> assemble_mask_major(
 /// final rank-composition sweep: leaf -> full-mask rank is the leaf's own
 /// index, and each mask's rank is a single src_map gather from its source's
 /// rank, walked in topological (decreasing-arity) order per leaf.
-void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
-                            std::span<const ClusterStats> leaf_stats,
-                            const std::vector<std::uint8_t>& masks,
-                            BatchKernel kernel, EpochClusterTable& table,
-                            std::uint32_t* rows, ThreadPool* pool,
-                            std::size_t shards) {
+void expand_lattice(std::span<const std::uint64_t> leaf_keys,
+                    std::span<const ClusterStats> leaf_stats,
+                    const std::vector<std::uint8_t>& masks, BatchKernel kernel,
+                    EpochClusterTable& table, std::uint32_t* rows,
+                    ThreadPool* pool, std::size_t shards) {
   const std::size_t num_leaves = leaf_keys.size();
   const std::size_t nm = masks.size();
-  const bool want_map = rows != nullptr;
 
   std::array<std::uint32_t, kFullMask + 1> index_of{};
   index_of.fill(kLeafSource);
@@ -486,7 +379,7 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
     if (serial || tier.size() <= 1) {
       for (const std::uint32_t j : tier) {
         radix_bytes += expand_mask(j, masks, leaf_keys, leaf_stats, kernel,
-                                   want_map, cells, serial_scratch);
+                                   cells, serial_scratch);
       }
       continue;
     }
@@ -516,7 +409,7 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
       ExpandScratch scratch;
       for (const std::uint32_t j : bucket[shard]) {
         shard_bytes[shard] += expand_mask(j, masks, leaf_keys, leaf_stats,
-                                          kernel, want_map, cells, scratch);
+                                          kernel, cells, scratch);
       }
     });
     for (const std::uint64_t b : shard_bytes) radix_bytes += b;
@@ -525,49 +418,47 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
   const std::vector<std::uint32_t> base =
       assemble_mask_major(masks, cells, table);
 
-  if (rows != nullptr) {
-    // Rank composition: one pass over the leaves, each mask's id gathered
-    // from its source's local rank through src_map, then the whole segment
-    // shifted to global dense ids.  The topo walk is split into three
-    // branch-free lists (full-mask / leaf-sourced / cell-sourced); list
-    // order preserves the topo guarantee that a source's slot is written
-    // before any mask that folds from it, because the full mask and every
-    // leaf-sourced mask depend only on `i`, and `children` keeps topo
-    // (decreasing-arity) order.
-    VQ_SPAN("expand.merge");
-    std::uint32_t full_j = kLeafSource;
-    std::vector<std::pair<std::uint32_t, const std::uint32_t*>> leaf_fed;
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, const std::uint32_t*>>
-        children;
-    for (const std::uint32_t jj : topo) {
-      const MaskCells& c = cells[jj];
-      if (masks[jj] == kFullMask) {
-        full_j = jj;
-      } else if (c.source == kLeafSource) {
-        leaf_fed.emplace_back(jj, c.src_map.data());
-      } else {
-        children.emplace_back(jj, c.source, c.src_map.data());
-      }
-    }
-    const auto fill = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::uint32_t* seg = rows + i * nm;
-        if (full_j != kLeafSource) {
-          seg[full_j] = static_cast<std::uint32_t>(i);
-        }
-        for (const auto& [jj, map] : leaf_fed) seg[jj] = map[i];
-        for (const auto& [jj, src, map] : children) seg[jj] = map[seg[src]];
-        for (std::size_t t = 0; t < nm; ++t) seg[t] += base[t];
-      }
-    };
-    if (serial) {
-      fill(0, num_leaves);
+  // Rank composition: one pass over the leaves, each mask's id gathered
+  // from its source's local rank through src_map, then the whole segment
+  // shifted to global dense ids.  The topo walk is split into three
+  // branch-free lists (full-mask / leaf-sourced / cell-sourced); list
+  // order preserves the topo guarantee that a source's slot is written
+  // before any mask that folds from it, because the full mask and every
+  // leaf-sourced mask depend only on `i`, and `children` keeps topo
+  // (decreasing-arity) order.
+  VQ_SPAN("expand.merge");
+  std::uint32_t full_j = kLeafSource;
+  std::vector<std::pair<std::uint32_t, const std::uint32_t*>> leaf_fed;
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, const std::uint32_t*>>
+      children;
+  for (const std::uint32_t jj : topo) {
+    const MaskCells& c = cells[jj];
+    if (masks[jj] == kFullMask) {
+      full_j = jj;
+    } else if (c.source == kLeafSource) {
+      leaf_fed.emplace_back(jj, c.src_map.data());
     } else {
-      pool->parallel_for(0, shards, [&](std::size_t shard) {
-        fill(num_leaves * shard / shards,
-             num_leaves * (shard + 1) / shards);
-      });
+      children.emplace_back(jj, c.source, c.src_map.data());
     }
+  }
+  const auto fill = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::uint32_t* seg = rows + i * nm;
+      if (full_j != kLeafSource) {
+        seg[full_j] = static_cast<std::uint32_t>(i);
+      }
+      for (const auto& [jj, map] : leaf_fed) seg[jj] = map[i];
+      for (const auto& [jj, src, map] : children) seg[jj] = map[seg[src]];
+      for (std::size_t t = 0; t < nm; ++t) seg[t] += base[t];
+    }
+  };
+  if (serial) {
+    fill(0, num_leaves);
+  } else {
+    pool->parallel_for(0, shards, [&](std::size_t shard) {
+      fill(num_leaves * shard / shards,
+           num_leaves * (shard + 1) / shards);
+    });
   }
   expand_metrics().radix_bytes.add(radix_bytes);
 }
@@ -594,77 +485,24 @@ EpochClusterTable expand_fold(const LeafFold& fold,
   std::sort(sorted_leaves.begin(), sorted_leaves.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // SoA copies: both engines consume contiguous key/stat arrays (the
-  // mask-major kernels batch over the keys), and with index_cells they are
-  // stored on the table as the LeafCellIndex anyway.
-  std::vector<std::uint64_t> local_keys;
-  std::vector<ClusterStats> local_stats;
-  std::vector<std::uint64_t>& leaf_keys =
-      config.index_cells ? table.leaf_index.leaf_keys : local_keys;
-  std::vector<ClusterStats>& leaf_stats =
-      config.index_cells ? table.leaf_index.leaf_stats : local_stats;
-  leaf_keys.reserve(sorted_leaves.size());
-  leaf_stats.reserve(sorted_leaves.size());
+  // SoA copies: the kernels batch over contiguous key/stat arrays, which
+  // are stored on the table as the LeafCellIndex anyway.
+  LeafCellIndex& index = table.leaf_index;
+  index.leaf_keys.reserve(sorted_leaves.size());
+  index.leaf_stats.reserve(sorted_leaves.size());
   for (const auto& [raw, stats] : sorted_leaves) {
-    leaf_keys.push_back(raw);
-    leaf_stats.push_back(*stats);
+    index.leaf_keys.push_back(raw);
+    index.leaf_stats.push_back(*stats);
   }
-
-  std::uint32_t* rows = nullptr;
-  if (config.index_cells) {
-    table.leaf_index.masks = masks;
-    table.leaf_index.cell_rows.resize(leaf_keys.size() * masks.size());
-    rows = table.leaf_index.cell_rows.data();
-  }
-
-  if (config.expand == ExpandStrategy::kHashed) {
-    expand_fold_hashed(leaf_keys, leaf_stats, masks, table, rows, pool,
-                       shards);
-  } else {
-    expand_fold_mask_major(leaf_keys, leaf_stats, masks, config.expand_kernel,
-                           table, rows, pool, shards);
-  }
+  index.masks = masks;
+  index.cell_rows.resize(index.leaf_keys.size() * masks.size());
+  expand_lattice(index.leaf_keys, index.leaf_stats, masks,
+                 config.expand_kernel, table, index.cell_rows.data(), pool,
+                 shards);
 
   ExpandMetrics& metrics = expand_metrics();
-  metrics.leaves.add(static_cast<std::uint64_t>(leaf_keys.size()));
+  metrics.leaves.add(static_cast<std::uint64_t>(index.leaf_keys.size()));
   metrics.cells.add(static_cast<std::uint64_t>(table.clusters.size()));
-  return table;
-}
-
-EpochClusterTable aggregate_epoch_unfolded(std::span<const Session> sessions,
-                                           const ProblemThresholds& thresholds,
-                                           const ClusterEngineConfig& config,
-                                           std::uint32_t epoch) {
-  const std::vector<std::uint8_t> masks = lattice_masks(config.max_arity);
-
-  EpochClusterTable table;
-  table.epoch = epoch;
-  // Rough sizing: small epochs have ~|masks| distinct cells per session with
-  // heavy sharing; reserving 4x sessions avoids most rehashes in practice.
-  table.clusters.reserve(sessions.size() * 4 + 64);
-
-  for (const Session& s : sessions) {
-    if (s.epoch != epoch) {
-      throw std::invalid_argument{
-          "aggregate_epoch: session epoch mismatch"};
-    }
-    const std::uint8_t bits = thresholds.problem_bits(s.quality);
-
-    table.root.sessions += 1;
-    for (int m = 0; m < kNumMetrics; ++m) {
-      table.root.problems[m] += (bits >> m) & 1u;
-    }
-
-    // Pack the full leaf once; every lattice cell is a projection of it.
-    const ClusterKey leaf = ClusterKey::pack(kFullMask, s.attrs);
-    for (const std::uint8_t mask : masks) {
-      ClusterStats& stats = table.clusters[leaf.project(mask).raw()];
-      stats.sessions += 1;
-      for (int m = 0; m < kNumMetrics; ++m) {
-        stats.problems[m] += (bits >> m) & 1u;
-      }
-    }
-  }
   return table;
 }
 
@@ -672,12 +510,6 @@ EpochClusterTable aggregate_epoch(std::span<const Session> sessions,
                                   const ProblemThresholds& thresholds,
                                   const ClusterEngineConfig& config,
                                   std::uint32_t epoch) {
-  if (!config.fold_leaves) {
-    return aggregate_epoch_unfolded(sessions, thresholds, config, epoch);
-  }
-  // Validate the arity cap before folding so both strategies reject bad
-  // configs at the same point.
-  (void)lattice_masks(config.max_arity);
   return expand_fold(fold_sessions(sessions, thresholds, epoch), config);
 }
 

@@ -6,51 +6,34 @@
 // one indexed cell store per epoch mapping packed ClusterKey -> dense cell
 // id -> ClusterStats, plus the epoch's global counters (the lattice root).
 //
-// Two aggregation strategies produce bit-identical tables:
+// Aggregation runs in two passes.  Pass 1 (fold_sessions, or the columnar
+// fold_sessions_columns in columns.h) folds sessions onto their distinct
+// full-arity leaves, one hash bump per session.  Pass 2 (expand_fold)
+// expands each *distinct* leaf across its projections, adding the leaf's
+// whole counter block per cell, so its cost scales with distinct leaves
+// rather than sessions.
 //
-//  * unfolded (the original): one pass over sessions, 127 hash bumps each.
-//  * leaf-folded (default): pass 1 folds sessions onto their distinct
-//    full-arity leaves (one hash bump per session); pass 2 expands each
-//    *distinct* leaf once across its projections, adding the leaf's whole
-//    counter block per cell.  Real workloads have far fewer distinct
-//    7-attribute leaves than sessions, so pass 2 — the expensive part —
-//    shrinks by the sessions-per-leaf ratio.  Pass 2 can additionally be
-//    sharded across a ThreadPool: the (sorted) distinct-leaf array is cut
-//    into contiguous ranges expanded into disjoint per-shard stores that
-//    are merged in shard order.  Since every leaf lands in exactly one
-//    shard and counter addition is commutative and associative over
-//    uint32, the merged store's content is identical to the serial
-//    expansion regardless of shard count or merge order.
-//
-// Pass 2 itself has two engines (ClusterEngineConfig::expand), again
-// bit-identical in cell content:
-//
-//  * mask-major (default): a smallest-parent aggregation DAG.  Masks are
-//    folded tier by tier in decreasing arity; each mask batch-projects the
-//    cells of its cheapest already-aggregated superset (or the sorted
-//    leaves) with the expand_kernels.h SIMD kernels and folds equal
-//    projected keys by linear run-length scan, radix-sorting the
-//    (projected key, source row) pairs first where the source order
-//    doesn't already group them.  Hash-free; dense ids are assigned in the
-//    canonical (mask-major, key-ascending) order, identical at any
-//    worker/shard count.
-//  * hashed: the original per-(leaf, mask) hash bump, retained as the
-//    differential baseline; dense ids in first-touch order.
+// Pass 2 is a mask-major smallest-parent aggregation DAG.  Masks are
+// folded tier by tier in decreasing arity; each mask batch-projects the
+// cells of its cheapest already-aggregated superset (or the sorted leaves)
+// with the expand_kernels.h SIMD kernels and folds equal projected keys by
+// linear run-length scan, radix-sorting the (projected key, source row)
+// pairs first where the source order doesn't already group them.  It is
+// hash-free, and it can shard whole masks of one arity tier across a
+// ThreadPool.  Dense ids come out in the canonical (mask-major,
+// key-ascending) order, identical at any worker/shard count and kernel.
 //
 // Cells are stored *indexed*: dense uint32 id -> ClusterStats in one
-// contiguous vector.  A hashed-path store maps key -> id through a
-// FlatMap64; a mask-major store is built sorted and resolves keys by
-// binary search within the key's mask group (no hash table at all).  As a
-// byproduct of pass 2, expand_fold can record a LeafCellIndex — for every
-// distinct leaf, the dense ids of its materialised projections — which lets
-// the critical-cluster analysis (critical_cluster.h) replace its 127 hash
-// lookups per leaf with plain array gathers over precomputed per-metric
-// flag bitsets.
+// contiguous vector, with keys resolved by binary search within the key's
+// mask group.  As a byproduct of pass 2, expand_fold records a
+// LeafCellIndex — for every distinct leaf, the dense ids of its
+// materialised projections — which lets the critical-cluster analysis
+// (critical_cluster.h) run its per-leaf sweep as plain array gathers over
+// precomputed per-metric flag bitsets.
 
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -89,25 +72,19 @@ struct ClusterStats {
   [[nodiscard]] ClusterStats minus(const ClusterStats& o) const noexcept;
 };
 
-/// Dense-id cell store: raw ClusterKey -> uint32 id with the ClusterStats
-/// in one contiguous vector keyed by id.  Keeps the lookup surface of the
-/// FlatMap64 it replaced (find/size/for_each/operator[]) and adds id-based
-/// accessors for the indexed critical path.  Iteration order is id order.
-///
-/// Two modes share this type:
-///  * mutable (default): ids assigned in first-touch order through a
-///    FlatMap64 — the hashed expansion and the unfolded path build these.
-///  * sorted (from_mask_major): keys laid out in canonical (mask-major,
-///    key-ascending) id order; lookups binary-search the key's mask group,
-///    so reads are hash-free, allocation-free, and safe from concurrent
-///    threads; every mutator throws std::logic_error.
+/// Dense-id cell store: keys laid out in canonical (mask-major,
+/// key-ascending) dense-id order with the ClusterStats in one contiguous
+/// vector keyed by id.  Lookups binary-search the key's mask group, so
+/// reads are hash-free, allocation-free, and safe from concurrent threads.
+/// Iteration order is id order.  Built once per epoch by expand_fold and
+/// immutable afterwards.
 class CellStore {
  public:
   /// Sentinel for "no cell" in id-typed contexts.
   static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
-  /// Builds a sorted-mode store from the mask-major expansion's canonical
-  /// arrays: keys/stats in (mask-major, key-ascending) dense-id order, with
+  /// Builds a store from the mask-major expansion's canonical arrays:
+  /// keys/stats in (mask-major, key-ascending) dense-id order, with
   /// `mask_offsets[m] .. mask_offsets[m + 1]` delimiting mask m's id range
   /// (the final entry must equal keys.size()).  Throws
   /// std::invalid_argument on inconsistent array shapes.
@@ -115,61 +92,11 @@ class CellStore {
       std::vector<std::uint64_t> keys, std::vector<ClusterStats> stats,
       const std::array<std::uint32_t, kFullMask + 2>& mask_offsets);
 
-  /// True for sorted-mode (immutable, binary-search) stores.
-  [[nodiscard]] bool sorted() const noexcept { return sorted_; }
-
   [[nodiscard]] std::size_t size() const noexcept { return stats_.size(); }
   [[nodiscard]] bool empty() const noexcept { return stats_.empty(); }
 
-  void reserve(std::size_t n) {
-    ids_.reserve(n);
-    keys_.reserve(n);
-    stats_.reserve(n);
-  }
-
-  /// Dense id for `raw`, inserting a zero-stats cell on first touch.
-  /// Throws std::logic_error on a sorted-mode store.
-  std::uint32_t id_or_insert(std::uint64_t raw) {
-    if (sorted_) throw_sorted_mutation();
-    // The map stores id + 1 so the value-initialised 0 means "absent" and
-    // one probe serves both hit and miss.
-    std::uint32_t& slot = ids_[raw];
-    if (slot == 0) {
-      assert(keys_.size() < kNoCell);
-      keys_.push_back(raw);
-      stats_.emplace_back();
-      slot = static_cast<std::uint32_t>(keys_.size());
-    }
-    return slot - 1;
-  }
-
   /// Dense id for `raw`, or kNoCell when absent.
-  [[nodiscard]] std::uint32_t id_of(std::uint64_t raw) const noexcept {
-    if (sorted_) return sorted_id_of(raw);
-    const std::uint32_t* slot = ids_.find(raw);
-    return slot == nullptr ? kNoCell : *slot - 1;
-  }
-
-  /// Inserts (or finds) the cell and adds `s` to it; returns its dense id.
-  std::uint32_t bump(std::uint64_t raw, const ClusterStats& s) {
-    const std::uint32_t id = id_or_insert(raw);
-    stats_[id] += s;
-    return id;
-  }
-
-  /// Adds `s` to an existing cell by dense id — the incremental delta
-  /// engine's hash-free hot path (the id was resolved once when the leaf's
-  /// projection row was built).  Counter addition is over uint32, so
-  /// applying a wrapped-difference delta (new - old mod 2^32) lands exactly
-  /// on the new value.  Throws std::logic_error on a sorted-mode store.
-  void add_to(std::uint32_t id, const ClusterStats& s) {
-    if (sorted_) throw_sorted_mutation();
-    stats_[id] += s;
-  }
-
-  ClusterStats& operator[](std::uint64_t raw) {
-    return stats_[id_or_insert(raw)];
-  }
+  [[nodiscard]] std::uint32_t id_of(std::uint64_t raw) const noexcept;
 
   [[nodiscard]] const ClusterStats* find(std::uint64_t raw) const noexcept {
     const std::uint32_t id = id_of(raw);
@@ -201,34 +128,19 @@ class CellStore {
     }
   }
 
-  /// Adds every cell of `other` into this store in `other`'s id order
-  /// (counter addition is commutative and associative, so merged content is
-  /// independent of merge order — the shard-merge invariant).
-  void merge_add(const CellStore& other) {
-    reserve(size() + other.size());
-    for (std::size_t id = 0; id < other.stats_.size(); ++id) {
-      bump(other.keys_[id], other.stats_[id]);
-    }
-  }
-
  private:
-  [[noreturn]] static void throw_sorted_mutation();
-  [[nodiscard]] std::uint32_t sorted_id_of(std::uint64_t raw) const noexcept;
-
-  FlatMap64<std::uint32_t> ids_;  // raw key -> dense id + 1 (mutable mode)
   std::vector<std::uint64_t> keys_;
   std::vector<ClusterStats> stats_;
-  bool sorted_ = false;
-  /// Sorted mode: id range of mask m is [mask_offsets_[m],
-  /// mask_offsets_[m + 1]); keys_ ascend within each range.
+  /// Id range of mask m is [mask_offsets_[m], mask_offsets_[m + 1]);
+  /// keys_ ascend within each range.
   std::array<std::uint32_t, kFullMask + 2> mask_offsets_{};
 };
 
-/// Byproduct of the indexed pass-2 expansion: for every distinct leaf, the
-/// dense cell ids of its materialised projections.  Leaves are sorted by
-/// ascending raw key — the canonical order every critical-extraction
-/// strategy iterates in, which is what makes sharded and serial runs
-/// bit-identical (see critical_cluster.h).  Rows are row-major: row i holds
+/// Byproduct of the pass-2 expansion: for every distinct leaf, the dense
+/// cell ids of its materialised projections.  Leaves are sorted by
+/// ascending raw key — the canonical order the critical extraction iterates
+/// in, which is what makes sharded and serial runs bit-identical (see
+/// critical_cluster.h).  Rows are row-major: row i holds
 /// cell_rows[i * masks.size() + j] = id of leaf i projected onto masks[j].
 struct LeafCellIndex {
   std::vector<std::uint8_t> masks;       // materialised masks, ascending
@@ -246,39 +158,13 @@ struct LeafCellIndex {
   }
 };
 
-/// Pass-2 expansion engine selector (see the file comment).
-enum class ExpandStrategy : std::uint8_t {
-  /// Mask-major hash-free engine (default): batch projection kernels +
-  /// radix/run-length grouping; dense ids in canonical (mask-major,
-  /// key-ascending) order at any worker/shard count.
-  kMaskMajor = 0,
-  /// The original per-(leaf, mask) hash-bump expansion, retained as the
-  /// differential baseline; dense ids in first-touch order.
-  kHashed = 1,
-};
-
 struct ClusterEngineConfig {
   /// Largest attribute-subset size to materialise. kNumDims materialises the
   /// full 127-cell lattice (default, what the paper's method implies); lower
   /// caps trade fidelity for speed (explored in the perf benches).
   int max_arity = kNumDims;
-  /// Leaf-folded two-pass aggregation (see file comment). Off reverts to
-  /// the original session-by-session path; results are identical either
-  /// way, which tests/test_fold_differential.cpp enforces.
-  bool fold_leaves = true;
-  /// Record the LeafCellIndex during expand_fold, enabling the indexed
-  /// (gather + flag-bitset) critical-cluster path. Off leaves the index
-  /// empty so the analyses fall back to the per-leaf hash-lookup path;
-  /// results are identical either way, which
-  /// tests/test_critical_differential.cpp enforces.
-  bool index_cells = true;
-  /// Pass-2 expansion engine.  Cell content (keys, stats, root) is
-  /// identical either way — tests/test_expand_differential.cpp enforces it
-  /// bit for bit — only the dense-id numbering differs (canonical vs
-  /// first-touch), which no analysis output depends on.
-  ExpandStrategy expand = ExpandStrategy::kMaskMajor;
-  /// Kernel selection for the mask-major batch projections; kScalar forces
-  /// the portable fallback (differential-tested against kAuto).
+  /// Kernel selection for the batch projections; kScalar forces the
+  /// portable fallback (differential-tested against kAuto).
   BatchKernel expand_kernel = BatchKernel::kAuto;
 };
 
@@ -287,8 +173,7 @@ struct EpochClusterTable {
   std::uint32_t epoch = 0;
   ClusterStats root;  // the epoch's global counters
   CellStore clusters;
-  /// Per-leaf projection rows; empty unless built by expand_fold with
-  /// ClusterEngineConfig::index_cells (the unfolded path never builds it).
+  /// Per-leaf projection rows (built by expand_fold).
   LeafCellIndex leaf_index;
 
   [[nodiscard]] double global_ratio(Metric m) const noexcept {
@@ -314,29 +199,18 @@ struct LeafFold {
                                      const ProblemThresholds& thresholds,
                                      std::uint32_t epoch);
 
-/// Expands a leaf fold into the full cluster table (pass 2), dispatching on
-/// `config.expand`.  With `pool` non-null and `shards > 1` the expansion is
-/// parallelised — the mask-major engine shards whole masks within each
-/// arity tier, the hashed engine contiguous leaf ranges merged in range
-/// order; content
-/// is identical to the serial expansion either way. With
-/// `config.index_cells` the table additionally carries the LeafCellIndex
-/// (same dense ids for any shard count).
+/// Expands a leaf fold into the full cluster table and its LeafCellIndex
+/// (pass 2).  With `pool` non-null and `shards > 1` the expansion shards
+/// whole masks within each arity tier; the table (dense ids included) is
+/// identical to the serial expansion for any shard count.
 [[nodiscard]] EpochClusterTable expand_fold(const LeafFold& fold,
                                             const ClusterEngineConfig& config,
                                             ThreadPool* pool = nullptr,
                                             std::size_t shards = 1);
 
-/// Aggregates one epoch's sessions into a cluster table, dispatching on
-/// `config.fold_leaves`. All sessions must carry the same epoch id as
-/// `epoch`.
+/// Aggregates one epoch's sessions into a cluster table: fold_sessions,
+/// then expand_fold. All sessions must carry the same epoch id as `epoch`.
 [[nodiscard]] EpochClusterTable aggregate_epoch(
-    std::span<const Session> sessions, const ProblemThresholds& thresholds,
-    const ClusterEngineConfig& config, std::uint32_t epoch);
-
-/// The original one-pass path (127 hash bumps per session); kept as the
-/// differential-testing and benchmarking baseline.
-[[nodiscard]] EpochClusterTable aggregate_epoch_unfolded(
     std::span<const Session> sessions, const ProblemThresholds& thresholds,
     const ClusterEngineConfig& config, std::uint32_t epoch);
 

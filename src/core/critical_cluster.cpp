@@ -5,15 +5,82 @@
 #include <bit>
 #include <stdexcept>
 
-#include "src/core/mask_bits.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
 
-namespace detail {
+namespace {
 
-void finalize_critical_analysis(CriticalAnalysis& out) {
+constexpr int kNumMasks = kFullMask + 1;  // 128 subsets incl. root
+
+/// 128-bit bitset over the subset lattice; bit index is the mask value.
+struct MaskBits {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  void set(unsigned m) noexcept {
+    (m < 64 ? lo : hi) |= std::uint64_t{1} << (m & 63);
+  }
+  [[nodiscard]] bool test(unsigned m) const noexcept {
+    return ((m < 64 ? lo : hi) >> (m & 63)) & 1u;
+  }
+  [[nodiscard]] bool any() const noexcept { return (lo | hi) != 0; }
+
+  friend bool operator==(const MaskBits&, const MaskBits&) = default;
+};
+
+/// kDimAbsent[d] selects, within one 64-bit word, the mask values whose
+/// dimension-d bit is clear. Dimension 6 needs no pattern: its bit weight is
+/// 64, so "bit 6 clear" is exactly the lo word.
+inline constexpr std::array<std::uint64_t, 6> kDimAbsent = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL};
+
+/// strict[m] = OR over every strict superset s of m of b[s], for all 128
+/// masks at once. Two sweeps of seven shifted-OR steps each: the first
+/// closes b upward (h[m] = OR over s >= m), the second ORs h over the seven
+/// single-dimension extensions of m — every strict superset contains at
+/// least one added dimension, so that union is exactly the strict cone.
+[[nodiscard]] inline MaskBits strict_superset_or(const MaskBits& b) noexcept {
+  MaskBits h = b;
+  for (int d = 0; d < 6; ++d) {
+    const int k = 1 << d;
+    h.lo |= (h.lo >> k) & kDimAbsent[d];
+    h.hi |= (h.hi >> k) & kDimAbsent[d];
+  }
+  h.lo |= h.hi;
+
+  MaskBits strict;
+  for (int d = 0; d < 6; ++d) {
+    const int k = 1 << d;
+    strict.lo |= (h.lo >> k) & kDimAbsent[d];
+    strict.hi |= (h.hi >> k) & kDimAbsent[d];
+  }
+  strict.lo |= h.hi;
+  return strict;
+}
+
+/// Keeps only masks minimal by inclusion ("closest to the root").
+inline void filter_minimal(const std::vector<std::uint8_t>& candidates,
+                           std::vector<std::uint8_t>& out) {
+  out.clear();
+  for (const std::uint8_t m : candidates) {
+    bool dominated = false;
+    for (const std::uint8_t other : candidates) {
+      if (other != m && (other & m) == other) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) out.push_back(m);
+  }
+}
+
+/// Deterministic record order (attributed mass descending, raw key
+/// ascending) and the attributed-mass total summed in that order, so serial
+/// and sharded runs agree bit for bit.
+void finalize_analysis(CriticalAnalysis& out) {
   std::sort(out.criticals.begin(), out.criticals.end(),
             [](const CriticalRecord& a, const CriticalRecord& b) {
               if (a.attributed != b.attributed) {
@@ -27,23 +94,6 @@ void finalize_critical_analysis(CriticalAnalysis& out) {
   }
 }
 
-}  // namespace detail
-
-namespace {
-
-using detail::MaskBits;
-using detail::filter_minimal;
-using detail::strict_superset_or;
-
-constexpr int kNumMasks = kFullMask + 1;  // 128 subsets incl. root
-
-/// Shared tail of every strategy: deterministic record order (attributed
-/// mass descending, raw key ascending) and the attributed-mass total summed
-/// in that order, so hashed/indexed/sharded runs agree bit for bit.
-void finalize_analysis(CriticalAnalysis& out) {
-  detail::finalize_critical_analysis(out);
-}
-
 void fill_header(CriticalAnalysis& out, const EpochClusterTable& table,
                  Metric metric) {
   out.epoch = table.epoch;
@@ -54,26 +104,9 @@ void fill_header(CriticalAnalysis& out, const EpochClusterTable& table,
   out.global_ratio = table.global_ratio(metric);
 }
 
-/// Both strategies publish the epoch's problem-cluster keys (ascending) so
-/// downstream analytics never re-run the per-cell predicate sweep. The
-/// hashed strategy sweeps the table; the indexed one derives the keys from
-/// the already-computed flag bitset (see find_critical_clusters_indexed).
-void problem_keys_from_table(CriticalAnalysis& out,
-                             const EpochClusterTable& table,
-                             const ProblemClusterParams& params,
-                             Metric metric) {
-  out.problem_cluster_keys.clear();
-  const double global = out.global_ratio;
-  table.clusters.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    if (is_problem_cluster(stats, global, params, metric)) {
-      out.problem_cluster_keys.push_back(raw);
-    }
-  });
-  std::sort(out.problem_cluster_keys.begin(), out.problem_cluster_keys.end());
-  out.num_problem_clusters =
-      static_cast<std::uint32_t>(out.problem_cluster_keys.size());
-}
-
+/// The epoch's problem-cluster keys (ascending), derived from the flag
+/// bitset so downstream analytics never re-run the per-cell predicate
+/// sweep.
 void problem_keys_from_flags(CriticalAnalysis& out, const CellStore& cells,
                              const CellFlags& flags) {
   out.problem_cluster_keys.clear();
@@ -96,9 +129,9 @@ struct LeafScratch {
   std::vector<std::uint8_t> masks;
 };
 
-/// Indexed equivalent of critical_leaf_candidates: gathers the leaf's
-/// precomputed projection cell ids and flag bits, then applies conditions
-/// (a)/(b) with 128-bit bit tricks and (c)/minimality on the gathered stats.
+/// Candidate evaluation for one leaf: gathers the leaf's precomputed
+/// projection cell ids and flag bits, then applies conditions (a)/(b) with
+/// 128-bit bit tricks and (c)/minimality on the gathered stats.
 /// Returns whether any projection is a problem cluster; minimal candidate
 /// masks land in scratch.masks (ascending).
 bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
@@ -150,123 +183,11 @@ bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
   return true;
 }
 
-}  // namespace
-
-LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
-                                        const EpochClusterTable& table,
-                                        const ProblemClusterParams& params,
-                                        Metric metric) {
-  const double global = table.global_ratio(metric);
-
-  LeafCandidates out;
-  std::array<ClusterStats, kNumMasks> stats;
-  std::array<bool, kNumMasks> flagged{};
-  stats[0] = table.root;
-  for (int mask = 1; mask < kNumMasks; ++mask) {
-    stats[mask] = table.stats(leaf.project(static_cast<std::uint8_t>(mask)));
-    flagged[mask] =
-        is_problem_cluster(stats[mask], global, params, metric);
-    out.in_problem_cluster |= flagged[mask];
-  }
-
-  std::vector<std::uint8_t> candidates;
-  for (int m = 1; m < kNumMasks; ++m) {
-    if (!flagged[m]) continue;
-
-    // (b) every significant descendant within the leaf is a problem cluster.
-    // Enumerate strict supersets of m by iterating subsets of its complement.
-    const unsigned complement = kFullMask & ~static_cast<unsigned>(m);
-    bool up_ok = true;
-    for (unsigned extra = complement; extra != 0;
-         extra = (extra - 1) & complement) {
-      const int s = m | static_cast<int>(extra);
-      if (is_significant(stats[s], params) && !flagged[s]) {
-        up_ok = false;
-        break;
-      }
-    }
-    if (!up_ok) continue;
-
-    // (c) removing this cluster's sessions un-flags every proper ancestor.
-    bool down_ok = true;
-    const unsigned mu = static_cast<unsigned>(m);
-    for (unsigned a = (mu - 1) & mu; a != 0; a = (a - 1) & mu) {
-      const ClusterStats remaining = stats[a].minus(stats[m]);
-      if (is_problem_cluster(remaining, global, params, metric)) {
-        down_ok = false;
-        break;
-      }
-    }
-    if (down_ok) candidates.push_back(static_cast<std::uint8_t>(m));
-  }
-
-  filter_minimal(candidates, out.masks);
-  return out;
-}
-
-std::vector<std::uint8_t> critical_candidate_masks(
-    const ClusterKey& leaf, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric) {
-  return critical_leaf_candidates(leaf, table, params, metric).masks;
-}
-
-CriticalAnalysis find_critical_clusters_hashed(
-    const LeafFold& fold, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric) {
-  CriticalAnalysis out;
-  fill_header(out, table, metric);
-  problem_keys_from_table(out, table, params, metric);
-
-  // Candidates and membership depend only on the leaf, so evaluate each
-  // distinct leaf once and weight by its problem-session count. Leaves are
-  // walked in ascending raw-key order — the canonical accumulation order
-  // every strategy shares, making the attribution doubles bit-comparable.
-  std::vector<std::pair<std::uint64_t, const ClusterStats*>> sorted_leaves;
-  sorted_leaves.reserve(fold.leaves.size());
-  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    sorted_leaves.emplace_back(raw, &stats);
-  });
-  std::sort(sorted_leaves.begin(), sorted_leaves.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  FlatMap64<double> attribution;
-  for (const auto& [raw, stats] : sorted_leaves) {
-    const std::uint32_t problems =
-        stats->problems[static_cast<std::uint8_t>(metric)];
-    if (problems == 0) continue;
-    const ClusterKey leaf = ClusterKey::from_raw(raw);
-    const LeafCandidates info =
-        critical_leaf_candidates(leaf, table, params, metric);
-    if (info.in_problem_cluster) out.problem_sessions_in_pc += problems;
-    if (info.masks.empty()) continue;
-    const double share = static_cast<double>(problems) /
-                         static_cast<double>(info.masks.size());
-    for (const std::uint8_t mask : info.masks) {
-      attribution[leaf.project(mask).raw()] += share;
-    }
-  }
-
-  out.criticals.reserve(attribution.size());
-  // Accumulation only: finalize_analysis below sorts out.criticals by
-  // (mass, key) before anything is emitted.
-  // vq-lint: allow(unordered-iter)
-  attribution.for_each([&](std::uint64_t raw, double mass) {
-    const ClusterKey key = ClusterKey::from_raw(raw);
-    out.criticals.push_back({key, mass, table.stats(key)});
-  });
-  finalize_analysis(out);
-  return out;
-}
-
-CriticalAnalysis find_critical_clusters_indexed(
-    const EpochClusterTable& table, const ProblemClusterParams& params,
-    Metric metric, ThreadPool* pool, std::size_t shards) {
-  if (table.leaf_index.empty() && !table.clusters.empty()) {
-    throw std::invalid_argument{
-        "find_critical_clusters_indexed: table carries no leaf index "
-        "(expand_fold with ClusterEngineConfig::index_cells builds one)"};
-  }
-
+/// The indexed extraction over a table built by expand_fold.
+CriticalAnalysis extract_criticals(const EpochClusterTable& table,
+                                   const ProblemClusterParams& params,
+                                   Metric metric, ThreadPool* pool,
+                                   std::size_t shards) {
   CriticalAnalysis out;
   fill_header(out, table, metric);
 
@@ -343,17 +264,21 @@ CriticalAnalysis find_critical_clusters_indexed(
   return out;
 }
 
+}  // namespace
+
 CriticalAnalysis find_critical_clusters(const LeafFold& fold,
                                         const EpochClusterTable& table,
                                         const ProblemClusterParams& params,
                                         Metric metric, ThreadPool* pool,
                                         std::size_t shards) {
   VQ_SPAN_EPOCH("core.find_critical_clusters", table.epoch);
-  if (!table.leaf_index.empty() || table.clusters.empty()) {
-    return find_critical_clusters_indexed(table, params, metric, pool,
-                                          shards);
+  if (fold.epoch != table.epoch || !(fold.root == table.root) ||
+      fold.leaves.size() != table.leaf_index.num_leaves()) {
+    throw std::invalid_argument{
+        "find_critical_clusters: the table was not expanded from this fold "
+        "(build it with expand_fold)"};
   }
-  return find_critical_clusters_hashed(fold, table, params, metric);
+  return extract_criticals(table, params, metric, pool, shards);
 }
 
 CriticalAnalysis find_critical_clusters(std::span<const Session> sessions,
@@ -364,6 +289,40 @@ CriticalAnalysis find_critical_clusters(std::span<const Session> sessions,
   return find_critical_clusters(
       fold_sessions(sessions, thresholds, table.epoch), table, params,
       metric);
+}
+
+std::vector<std::vector<std::uint8_t>> leaf_critical_masks(
+    const EpochClusterTable& table, const ProblemClusterParams& params,
+    Metric metric) {
+  const CellFlags flags = compute_cell_flags(table, params, metric);
+  const LeafCellIndex& index = table.leaf_index;
+  const double global = table.global_ratio(metric);
+  const auto mi = static_cast<std::uint8_t>(metric);
+  std::vector<std::vector<std::uint8_t>> out(index.num_leaves());
+  LeafScratch scratch;
+  for (std::size_t i = 0; i < index.num_leaves(); ++i) {
+    if (index.leaf_stats[i].problems[mi] == 0) continue;
+    (void)indexed_leaf_candidates(index, i, table.clusters, flags, params,
+                                  global, metric, scratch);
+    out[i] = scratch.masks;
+  }
+  return out;
+}
+
+EpochAnalyses analyze_epoch(const LeafFold& fold,
+                            const ClusterEngineConfig& engine,
+                            const ProblemClusterParams& params,
+                            ThreadPool* pool, std::size_t shards) {
+  const EpochClusterTable lattice = [&] {
+    VQ_SPAN_EPOCH("pipeline.expand_lattice", fold.epoch);
+    return expand_fold(fold, engine, pool, shards);
+  }();
+  EpochAnalyses analyses;
+  for (const Metric m : kAllMetrics) {
+    analyses[static_cast<std::uint8_t>(m)] =
+        find_critical_clusters(fold, lattice, params, m, pool, shards);
+  }
+  return analyses;
 }
 
 }  // namespace vq

@@ -25,24 +25,21 @@
 // *distinct* leaves, each weighted by its problem-session count — not over
 // raw sessions.
 //
-// Two extraction strategies produce bit-identical analyses (enforced by
-// tests/test_critical_differential.cpp):
-//
-//  * hashed (the original): per leaf, up to 127 table.stats() hash lookups
-//    and per-(leaf, mask) is_problem_cluster evaluations.
-//  * indexed (default when the table carries a LeafCellIndex): per-metric
-//    flag bitsets are precomputed once over the table's contiguous cell
-//    vector (compute_cell_flags), and each leaf's sweep gathers its
-//    precomputed projection cell ids — zero hash lookups and zero repeated
-//    threshold evaluations in the inner loop; conditions (a)/(b) collapse
-//    to 128-bit subset/superset bit tricks.  The per-leaf loop can shard
-//    across a ThreadPool: shards take contiguous ranges of the canonical
-//    (ascending-key) leaf array and their share lists are replayed in shard
-//    order, reproducing the serial floating-point accumulation sequence
-//    exactly — output is bit-identical for any shard count.
+// The extraction is indexed: per-metric flag bitsets are precomputed once
+// over the table's contiguous cell vector (compute_cell_flags), and each
+// leaf's sweep gathers its precomputed projection cell ids from the
+// LeafCellIndex — zero hash lookups and zero repeated threshold evaluations
+// in the inner loop; conditions (a)/(b) collapse to 128-bit
+// subset/superset bit tricks.  The per-leaf loop can shard across a
+// ThreadPool: shards take contiguous ranges of the canonical
+// (ascending-key) leaf array and their share lists are replayed in shard
+// order, reproducing the serial floating-point accumulation sequence
+// exactly — output is bit-identical for any shard count.  The differential
+// suites check it against the straight-line oracle in tests/oracle.h.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,7 +47,6 @@
 #include "src/core/cluster_engine.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
-#include "src/util/flat_hash_map.h"
 
 namespace vq {
 
@@ -99,13 +95,12 @@ struct CriticalAnalysis {
   }
 };
 
-/// Runs the phase-transition algorithm for one epoch and metric, dispatching
-/// to the indexed strategy when the table carries a LeafCellIndex (i.e. it
-/// was built by expand_fold with ClusterEngineConfig::index_cells) and to
-/// the retained hashed baseline otherwise. `fold` must be the pass-1 fold of
-/// the sessions the `table` was aggregated from (run_pipeline computes it
-/// once per epoch and shares it across all four metrics). With `pool`
-/// non-null and `shards > 1` the indexed per-leaf loop runs sharded.
+/// Runs the phase-transition algorithm for one epoch and metric over a
+/// table built by expand_fold.  `fold` must be the pass-1 fold the table
+/// was expanded from (throws std::invalid_argument when its epoch or root
+/// disagrees); the table's LeafCellIndex carries everything else the sweep
+/// reads.  With `pool` non-null and `shards > 1` the per-leaf loop runs
+/// sharded.
 [[nodiscard]] CriticalAnalysis find_critical_clusters(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric,
@@ -119,49 +114,26 @@ struct CriticalAnalysis {
     const ProblemThresholds& thresholds, const ProblemClusterParams& params,
     Metric metric);
 
-/// The retained hash-lookup strategy (127 table.stats() probes per leaf);
-/// the differential-testing and benchmarking baseline.
-[[nodiscard]] CriticalAnalysis find_critical_clusters_hashed(
-    const LeafFold& fold, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric);
-
-/// The indexed strategy: precomputed flag bitsets + per-leaf cell-id
-/// gathers, optionally sharded. Requires the table to carry a LeafCellIndex
-/// (throws std::invalid_argument on a non-empty table without one).
-[[nodiscard]] CriticalAnalysis find_critical_clusters_indexed(
+/// Minimal critical candidate masks (ascending) of every distinct leaf of
+/// the table, parallel to table.leaf_index.leaf_keys.  Leaves without a
+/// problem session for `metric` get an empty list.  For analyses that
+/// weight each problem session by something other than a unit count
+/// (engagement.h).
+[[nodiscard]] std::vector<std::vector<std::uint8_t>> leaf_critical_masks(
     const EpochClusterTable& table, const ProblemClusterParams& params,
-    Metric metric, ThreadPool* pool = nullptr, std::size_t shards = 1);
+    Metric metric);
 
-/// Per-leaf candidate evaluation output: the minimal candidate masks plus
-/// whether any of the leaf's 127 projections is a problem cluster (both fall
-/// out of the same flagged-mask sweep, so they are computed together).
-struct LeafCandidates {
-  std::vector<std::uint8_t> masks;  // minimal candidate masks, ascending
-  bool in_problem_cluster = false;
-};
+/// The four per-metric analyses of one epoch, indexed by metric.
+using EpochAnalyses = std::array<CriticalAnalysis, kNumMetrics>;
 
-/// Critical candidate masks + problem-cluster membership for a single leaf
-/// (hash-lookup evaluation; the indexed strategy computes the same result
-/// from the LeafCellIndex).
-[[nodiscard]] LeafCandidates critical_leaf_candidates(
-    const ClusterKey& leaf, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric);
-
-/// Critical candidate masks for a single leaf (exposed for tests and the
-/// HHH comparison bench). Returns minimal candidate masks, ascending.
-[[nodiscard]] std::vector<std::uint8_t> critical_candidate_masks(
-    const ClusterKey& leaf, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric);
-
-namespace detail {
-
-/// Shared tail of every extraction strategy: deterministic record order
-/// (attributed mass descending, raw key ascending) and the attributed-mass
-/// total summed in that order. Exported so the incremental delta engine
-/// (src/core/incremental.cpp) finalizes with the exact same sort and
-/// floating-point summation sequence as the from-scratch strategies.
-void finalize_critical_analysis(CriticalAnalysis& out);
-
-}  // namespace detail
+/// The per-epoch engine shared by run_pipeline, run_pipeline_streaming and
+/// StreamingDetector::ingest: expands `fold` into its lattice, runs the
+/// extraction for every metric, and drops the lattice.  `pool`/`shards`
+/// parallelise both stages; results do not depend on them.
+[[nodiscard]] EpochAnalyses analyze_epoch(const LeafFold& fold,
+                                          const ClusterEngineConfig& engine,
+                                          const ProblemClusterParams& params,
+                                          ThreadPool* pool = nullptr,
+                                          std::size_t shards = 1);
 
 }  // namespace vq

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/core/critical_cluster.h"
-#include "src/util/flat_hash_map.h"
 
 namespace vq {
 
@@ -69,26 +68,28 @@ EngagementWhatIf::EngagementWhatIf(const SessionTable& table,
     const std::span<const Session> sessions = table.epoch(epoch);
     const EpochClusterTable lattice = aggregate_epoch(
         sessions, config.thresholds, config.engine, epoch);
+    const std::span<const std::uint64_t> leaf_keys =
+        lattice.leaf_index.leaf_keys;
 
     for (const Metric metric : kAllMetrics) {
       const auto mi = static_cast<std::uint8_t>(metric);
       const double global = lattice.global_ratio(metric);
-      // Memoised per-leaf candidate sets, as in the pipeline.
-      FlatMap64<std::vector<std::uint8_t>> leaf_memo;
+      // Candidate sets per distinct leaf, parallel to the sorted leaf keys.
+      const std::vector<std::vector<std::uint8_t>> leaf_masks =
+          leaf_critical_masks(lattice, config.cluster_params, metric);
       for (const Session& s : sessions) {
         if (!config.thresholds.is_problem(metric, s.quality)) continue;
         const double lost = model.lost_minutes(s.quality);
         total_lost_[mi] += lost;
         const ClusterKey leaf = ClusterKey::pack(kFullMask, s.attrs);
-        auto* candidates = leaf_memo.find(leaf.raw());
-        if (candidates == nullptr) {
-          candidates = &(leaf_memo[leaf.raw()] = critical_candidate_masks(
-                             leaf, lattice, config.cluster_params, metric));
-        }
-        if (candidates->empty()) continue;
-        const double share =
-            1.0 / static_cast<double>(candidates->size());
-        for (const std::uint8_t mask : *candidates) {
+        const std::vector<std::uint8_t>& candidates =
+            leaf_masks[static_cast<std::size_t>(
+                std::lower_bound(leaf_keys.begin(), leaf_keys.end(),
+                                 leaf.raw()) -
+                leaf_keys.begin())];
+        if (candidates.empty()) continue;
+        const double share = 1.0 / static_cast<double>(candidates.size());
+        for (const std::uint8_t mask : candidates) {
           const ClusterKey key = leaf.project(mask);
           const double r = lattice.stats(key).problem_ratio(metric);
           const double factor = r > 0.0 ? std::max(0.0, 1.0 - global / r)

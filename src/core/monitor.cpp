@@ -85,34 +85,11 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   has_ingested_ = true;
   epochs_observed_ += 1;
 
-  // One fold per ingested epoch, shared by the expansion (or the delta
-  // engine) and all metrics.
   ThreadPool* pool_ptr = pool_ ? &*pool_ : nullptr;
-  const std::size_t shards = std::max<std::uint32_t>(1, config_.shards);
-  const LeafFold fold =
-      fold_sessions(sessions, config_.thresholds, epoch);
-
-  // Incremental mode applies the fold as a per-leaf delta against the
-  // retained lattice; otherwise re-expand from scratch.  Both paths yield
-  // bit-identical analyses (tests/test_incremental.cpp), so the incident
-  // stream cannot depend on the mode.
-  std::array<CriticalAnalysis, kNumMetrics> analyses;
-  if (lattice_) {
-    analyses = lattice_->advance(fold, pool_ptr, shards);
-  } else {
-    const EpochClusterTable lattice =
-        config_.engine.fold_leaves
-            ? expand_fold(fold, config_.engine, pool_ptr, shards)
-            : aggregate_epoch_unfolded(sessions, config_.thresholds,
-                                       config_.engine, epoch);
-    for (const Metric metric : kAllMetrics) {
-      // Dispatches to the indexed extraction when the expansion built a
-      // leaf index (the fold_leaves default); falls back to the hashed
-      // baseline for unfolded configs.
-      analyses[static_cast<std::uint8_t>(metric)] = find_critical_clusters(
-          fold, lattice, config_.cluster_params, metric, pool_ptr, shards);
-    }
-  }
+  const EpochAnalyses analyses = analyze_epoch(
+      fold_sessions(sessions, config_.thresholds, epoch), config_.engine,
+      config_.cluster_params, pool_ptr,
+      std::max<std::uint32_t>(1, config_.shards));
 
   std::vector<IncidentEvent> events;
   for (const Metric metric : kAllMetrics) {

@@ -40,14 +40,12 @@
 #include <iosfwd>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
-#include "src/core/incremental.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
 #include "src/util/mutex.h"
@@ -72,22 +70,14 @@ struct MonitorConfig {
   /// escalates (the paper's reactive strategy uses 1).
   std::uint32_t escalate_after = 1;
   EpochOrderPolicy order_policy = EpochOrderPolicy::kThrow;
-  /// Detector-side parallelism for the per-epoch lattice expansion and
-  /// critical-cluster extraction (the pool/shards arguments of expand_fold
-  /// and find_critical_clusters).  workers <= 1 runs serial.  Excluded from
-  /// the checkpoint fingerprint like the engine knobs: the parallel kernels
-  /// are bit-identical to the serial ones by construction, so any
-  /// workers x shards setting yields the same incident stream
-  /// (differential-tested at {1,4} x {1,4}).
+  /// Detector-side parallelism for the per-epoch engine (the pool/shards
+  /// arguments of analyze_epoch).  workers <= 1 runs serial.  Excluded from
+  /// the checkpoint fingerprint: the parallel kernels are bit-identical to
+  /// the serial ones by construction, so any workers x shards setting
+  /// yields the same incident stream (differential-tested at
+  /// {1,4} x {1,4}) and may change across a save/restore.
   std::uint32_t workers = 1;
   std::uint32_t shards = 1;
-  /// Maintain the lattice across epochs with the incremental delta engine
-  /// (src/core/incremental.h) instead of re-expanding every epoch.  The
-  /// incident event stream is bit-identical either way (the engine's
-  /// differential contract), so — like the engine/worker knobs — this is
-  /// excluded from the checkpoint fingerprint and may change across a
-  /// save/restore.  Requires engine.fold_leaves.
-  bool incremental = false;
 };
 
 /// One tracked incident: a critical cluster with a live streak.
@@ -128,7 +118,7 @@ struct EpochDataQuality {
 /// recurred on the next consecutive epoch) or restarts at 1.  Keys are never
 /// forgotten — prevalence is a whole-stream fraction.  Equivalence with the
 /// batch build_prevalence (src/core/prevalence.h) over a contiguous epoch
-/// stream is enforced by tests/test_incremental.cpp.
+/// stream is enforced by tests/test_monitor.cpp.
 struct ProblemStreak {
   ClusterKey key;
   std::uint32_t first_epoch = 0;  // first epoch the key was a problem cluster
@@ -144,15 +134,7 @@ struct ProblemStreak {
 class StreamingDetector {
  public:
   explicit StreamingDetector(const MonitorConfig& config) : config_(config) {
-    if (config_.incremental && !config_.engine.fold_leaves) {
-      throw std::invalid_argument{
-          "StreamingDetector: incremental mode requires engine.fold_leaves "
-          "(deltas are per-leaf)"};
-    }
     if (config_.workers > 1) pool_.emplace(config_.workers);
-    if (config_.incremental) {
-      lattice_.emplace(config_.cluster_params, config_.engine.max_arity);
-    }
   }
 
   /// Processes one closed epoch. Epochs must be fed in increasing order
@@ -225,10 +207,8 @@ class StreamingDetector {
   // problem-streak registry sorted by key), and a trailing FNV-1a checksum
   // over the payload.  load_checkpoint throws std::runtime_error on bad
   // magic, unsupported version, checksum mismatch, truncation, or a
-  // fingerprint from a different configuration.  The incremental lattice is
-  // deliberately NOT serialised: advance() lands on the current fold's
-  // exact cell content from any prior state, so the first epoch after a
-  // restore is simply a full delta build with identical output.
+  // fingerprint from a different configuration.  No lattice state is
+  // serialised: every epoch's lattice is rebuilt from that epoch's sessions.
 
   void save_checkpoint(std::ostream& out) const VQ_EXCLUDES(mutex_);
   /// Atomic file save: writes `path`.tmp, then renames over `path`, so an
@@ -241,10 +221,11 @@ class StreamingDetector {
       VQ_EXCLUDES(mutex_);
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
-  /// params, escalate_after, order policy). Engine knobs are excluded: the
-  /// folded/unfolded and indexed/hashed strategies are bit-identical by
-  /// construction (differential-tested), so they may differ across a
-  /// save/restore without changing the event stream.
+  /// params, escalate_after, order policy). The engine config and the
+  /// workers/shards knobs are excluded.  Every kernel and shard count yields
+  /// bit-identical analyses (differential-tested), so those may differ
+  /// across a save/restore; engine.max_arity does change results and is not
+  /// checked either, so a resume must keep the saved run's cap.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 
@@ -254,9 +235,6 @@ class StreamingDetector {
   /// config_.workers > 1.  Used exclusively from inside ingest() (under
   /// mutex_), so it needs no guarding of its own.
   std::optional<ThreadPool> pool_;
-  /// Cross-epoch lattice state; engaged only when config_.incremental.
-  /// Used exclusively from inside ingest() (under mutex_).
-  std::optional<IncrementalLattice> lattice_;
 
   mutable Mutex mutex_;
   std::array<std::unordered_map<std::uint64_t, Incident>, kNumMetrics>

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/incremental.h"
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
@@ -45,6 +43,61 @@ PipelineResult::MetricAggregates PipelineResult::aggregates(Metric m) const {
 
 namespace {
 
+/// Setup and bookkeeping both pipelines share: the result skeleton, the
+/// worker pool, and the per-epoch step — analyze_epoch, store its four
+/// analyses, bump the pipeline.* counters.  Those counts are properties of
+/// the analysis, not the schedule, so they are kStable: totals match for
+/// any workers/shards setting.
+class PipelineRun {
+ public:
+  PipelineRun(const PipelineConfig& config, std::uint32_t num_epochs)
+      : config_{config},
+        workers_{config.workers == 0
+                     ? std::max<std::size_t>(
+                           1, std::thread::hardware_concurrency())
+                     : config.workers} {
+    result.config = config;
+    result.num_epochs = num_epochs;
+    for (auto& v : result.per_metric) v.resize(num_epochs);
+    if (workers_ > 1 && num_epochs > 0) pool_.emplace(workers_);
+  }
+
+  [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
+  [[nodiscard]] ThreadPool* pool() noexcept {
+    return pool_ ? &*pool_ : nullptr;
+  }
+
+  void analyze(std::uint32_t epoch, const LeafFold& fold, std::size_t shards,
+               std::size_t sessions) {
+    EpochAnalyses analyses = analyze_epoch(fold, config_.engine,
+                                           config_.cluster_params, pool(),
+                                           shards);
+    for (const Metric m : kAllMetrics) {
+      const auto mi = static_cast<std::uint8_t>(m);
+      CriticalAnalysis& analysis = result.per_metric[mi][epoch].analysis;
+      analysis = std::move(analyses[mi]);
+      problem_clusters_.add(analysis.num_problem_clusters);
+      critical_clusters_.add(analysis.criticals.size());
+    }
+    epochs_.add(1);
+    sessions_.add(sessions);
+  }
+
+  PipelineResult result;
+
+ private:
+  const PipelineConfig& config_;
+  const std::size_t workers_;
+  std::optional<ThreadPool> pool_;
+  obs::Counter& epochs_ = obs::Registry::global().counter("pipeline.epochs");
+  obs::Counter& sessions_ =
+      obs::Registry::global().counter("pipeline.sessions");
+  obs::Counter& problem_clusters_ =
+      obs::Registry::global().counter("pipeline.problem_clusters");
+  obs::Counter& critical_clusters_ =
+      obs::Registry::global().counter("pipeline.critical_clusters");
+};
+
 std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
                            std::size_t num_epochs) {
   if (config.shards != 0) return config.shards;
@@ -72,118 +125,52 @@ PipelineResult run_pipeline(const SessionTable& table,
 
 PipelineResult run_pipeline(const SessionTable& table,
                             const PipelineConfig& config) {
-  PipelineResult result;
-  result.config = config;
-  result.num_epochs = table.num_epochs();
-  for (auto& v : result.per_metric) v.resize(result.num_epochs);
-
-  const std::size_t workers =
-      config.workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.workers;
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  const std::size_t shards = resolve_shards(config, workers,
-                                            result.num_epochs);
-
-  // Event counts here are properties of the analysis, not the schedule, so
-  // they are kStable: totals match for any workers/shards setting.
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& epochs_done = reg.counter("pipeline.epochs");
-  obs::Counter& sessions_seen = reg.counter("pipeline.sessions");
-  obs::Counter& problem_clusters = reg.counter("pipeline.problem_clusters");
-  obs::Counter& critical_clusters = reg.counter("pipeline.critical_clusters");
+  PipelineRun run{config, table.num_epochs()};
+  const std::size_t shards =
+      resolve_shards(config, run.workers(), table.num_epochs());
 
   const auto process_epoch = [&](std::size_t e) {
     const auto epoch = static_cast<std::uint32_t>(e);
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
     const std::span<const Session> sessions = table.epoch(epoch);
-    // One leaf fold per epoch feeds both the lattice expansion and all four
-    // per-metric critical analyses.
     const LeafFold fold = [&] {
       VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
       return fold_sessions(sessions, config.thresholds, epoch);
     }();
-    const EpochClusterTable lattice = [&] {
-      VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-      return config.engine.fold_leaves
-                 ? expand_fold(fold, config.engine, pool_ptr, shards)
-                 : aggregate_epoch_unfolded(sessions, config.thresholds,
-                                            config.engine, epoch);
-    }();
-    for (const Metric m : kAllMetrics) {
-      EpochMetricSummary& summary =
-          result.per_metric[static_cast<std::uint8_t>(m)][epoch];
-      // Publishes analysis.problem_cluster_keys as a byproduct, so no
-      // separate find_problem_clusters pass is needed per metric.
-      summary.analysis = find_critical_clusters(
-          fold, lattice, config.cluster_params, m, pool_ptr, shards);
-      problem_clusters.add(summary.analysis.num_problem_clusters);
-      critical_clusters.add(summary.analysis.criticals.size());
-    }
-    epochs_done.add(1);
-    sessions_seen.add(sessions.size());
+    run.analyze(epoch, fold, shards, sessions.size());
   };
 
-  if (pool_ptr == nullptr) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) process_epoch(e);
+  if (run.pool() == nullptr) {
+    for (std::uint32_t e = 0; e < table.num_epochs(); ++e) process_epoch(e);
   } else {
     // parallel_for is re-entrant, so the per-epoch workers can themselves
     // fan the lattice expansion out across the same pool; a throwing epoch
     // (e.g. an epoch-mismatch in fold_sessions) surfaces here rather than
     // terminating the process.
-    pool_ptr->parallel_for(0, result.num_epochs, process_epoch);
+    run.pool()->parallel_for(0, table.num_epochs(), process_epoch);
   }
-  return result;
+  return std::move(run.result);
 }
 
 PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
                                       const PipelineConfig& config) {
-  PipelineResult result;
-  result.config = config;
-  result.num_epochs = source.num_epochs();
-  for (auto& v : result.per_metric) v.resize(result.num_epochs);
-
-  const std::size_t workers =
-      config.workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.workers;
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  PipelineRun run{config, source.num_epochs()};
   // Epochs stream sequentially (that is the memory bound), so all
   // parallelism lives inside the epoch: default shards to the pool width.
   const std::size_t shards =
-      config.shards != 0 ? config.shards : std::max<std::size_t>(1, workers);
-
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& epochs_done = reg.counter("pipeline.epochs");
-  obs::Counter& sessions_seen = reg.counter("pipeline.sessions");
-  obs::Counter& problem_clusters = reg.counter("pipeline.problem_clusters");
-  obs::Counter& critical_clusters = reg.counter("pipeline.critical_clusters");
+      config.shards != 0 ? config.shards : run.workers();
   // Largest batch ever held: the structural O(one epoch) memory witness.
-  obs::Gauge& held_max = reg.gauge("pipeline.stream_epoch_sessions_max");
-
-  if (config.incremental && !config.engine.fold_leaves) {
-    throw std::invalid_argument{
-        "run_pipeline_streaming: incremental mode requires "
-        "engine.fold_leaves (deltas are per-leaf)"};
-  }
-  std::optional<IncrementalLattice> incremental;
-  if (config.incremental) {
-    incremental.emplace(config.cluster_params, config.engine.max_arity);
-  }
+  obs::Gauge& held_max =
+      obs::Registry::global().gauge("pipeline.stream_epoch_sessions_max");
 
   SessionColumns columns;  // reused across epochs; capacity is retained
-  std::vector<Session> rows;  // only for the unfolded (diagnostic) engine
-  for (std::uint32_t epoch = 0; epoch < result.num_epochs; ++epoch) {
+  for (std::uint32_t epoch = 0; epoch < run.result.num_epochs; ++epoch) {
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
     const bool degraded = [&] {
       VQ_SPAN_EPOCH("pipeline.read_epoch", epoch);
       return source.read_epoch(epoch, columns);
     }();
-    if (degraded) result.degraded_epochs.push_back(epoch);
+    if (degraded) run.result.degraded_epochs.push_back(epoch);
     held_max.update_max(static_cast<std::int64_t>(columns.size()));
 
     const LeafFold fold = [&] {
@@ -192,44 +179,9 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
                  ? config.fold_provider(columns, config.thresholds, epoch)
                  : fold_sessions_columns(columns, config.thresholds, epoch);
     }();
-
-    if (incremental) {
-      std::array<CriticalAnalysis, kNumMetrics> analyses =
-          incremental->advance(fold, pool_ptr, shards);
-      for (const Metric m : kAllMetrics) {
-        const auto mi = static_cast<std::uint8_t>(m);
-        EpochMetricSummary& summary = result.per_metric[mi][epoch];
-        summary.analysis = std::move(analyses[mi]);
-        problem_clusters.add(summary.analysis.num_problem_clusters);
-        critical_clusters.add(summary.analysis.criticals.size());
-      }
-      epochs_done.add(1);
-      sessions_seen.add(columns.size());
-      continue;
-    }
-
-    const EpochClusterTable lattice = [&] {
-      VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-      if (config.engine.fold_leaves) {
-        return expand_fold(fold, config.engine, pool_ptr, shards);
-      }
-      rows.clear();
-      columns.append_rows(epoch, rows);
-      return aggregate_epoch_unfolded(rows, config.thresholds, config.engine,
-                                      epoch);
-    }();
-    for (const Metric m : kAllMetrics) {
-      EpochMetricSummary& summary =
-          result.per_metric[static_cast<std::uint8_t>(m)][epoch];
-      summary.analysis = find_critical_clusters(
-          fold, lattice, config.cluster_params, m, pool_ptr, shards);
-      problem_clusters.add(summary.analysis.num_problem_clusters);
-      critical_clusters.add(summary.analysis.criticals.size());
-    }
-    epochs_done.add(1);
-    sessions_seen.add(columns.size());
+    run.analyze(epoch, fold, shards, columns.size());
   }
-  return result;
+  return std::move(run.result);
 }
 
 }  // namespace vq

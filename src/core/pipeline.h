@@ -7,9 +7,11 @@
 // PipelineResult the §4/§5 analytics (prevalence, persistence, overlap,
 // what-if) consume.
 //
-// Parallelism has two levels sharing one thread pool: epochs are spread
-// across workers, and within an epoch the lattice expansion can be sharded
-// (see cluster_engine.h).  Sharding matters when there are fewer epochs
+// Every epoch runs the same engine, analyze_epoch (critical_cluster.h):
+// fold -> lattice -> four critical analyses.  Parallelism has two levels
+// sharing one thread pool: epochs are spread across workers, and within an
+// epoch the lattice expansion and extraction can be sharded (see
+// cluster_engine.h).  Sharding matters when there are fewer epochs
 // than cores — e.g. a live monitor re-analysing the latest hour — and is
 // derived automatically by default.
 
@@ -41,13 +43,6 @@ struct PipelineConfig {
   /// from the worker/epoch ratio (shard only when epochs alone cannot keep
   /// the pool busy). Any value yields identical results.
   std::size_t shards = 0;
-  /// Streaming only: maintain the lattice across epochs with the
-  /// incremental delta engine (src/core/incremental.h) instead of
-  /// re-expanding every epoch from scratch.  Results are bit-identical
-  /// (tests/test_incremental.cpp); per-epoch cost becomes proportional to
-  /// leaf churn.  Requires engine.fold_leaves.  Ignored by run_pipeline
-  /// (epoch-parallel batch analysis has no epoch order to exploit).
-  bool incremental = false;
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the
   /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only
   /// heavy leaves under a --max-cells budget.  The returned fold must carry

@@ -227,12 +227,45 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // Engine strategy knobs are differential-tested bit-identical, so they may
+  // Parallelism is differential-tested bit-identical, so it may
   // legitimately change across a save/restore.
-  MonitorConfig engine = base;
-  engine.engine.fold_leaves = !engine.engine.fold_leaves;
+  MonitorConfig parallel = base;
+  parallel.workers = 4;
+  parallel.shards = 4;
   EXPECT_EQ(StreamingDetector::config_fingerprint(base),
-            StreamingDetector::config_fingerprint(engine));
+            StreamingDetector::config_fingerprint(parallel));
+}
+
+TEST(Checkpoint, V2RoundTripsStreakRegistry) {
+  const MonitorConfig config = small_monitor();
+  StreamingDetector detector{config};
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    (void)detector.ingest(monitored_epoch(e, kScript[e]), e);
+  }
+  std::stringstream checkpoint{std::ios::in | std::ios::out |
+                               std::ios::binary};
+  detector.save_checkpoint(checkpoint);
+  StreamingDetector restored{config};
+  restored.load_checkpoint(checkpoint);
+
+  EXPECT_EQ(restored.epochs_observed(), kEpochs);
+  bool any = false;  // the registry must be non-trivial on this script
+  for (const Metric m : kAllMetrics) {
+    const std::vector<ProblemStreak> want = detector.problem_streaks(m);
+    const std::vector<ProblemStreak> got = restored.problem_streaks(m);
+    any = any || !want.empty();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].key.raw(), got[i].key.raw());
+      EXPECT_EQ(want[i].first_epoch, got[i].first_epoch);
+      EXPECT_EQ(want[i].last_epoch, got[i].last_epoch);
+      EXPECT_EQ(want[i].epochs_seen, got[i].epochs_seen);
+      EXPECT_EQ(want[i].streak, got[i].streak);
+      EXPECT_EQ(want[i].max_streak, got[i].max_streak);
+      EXPECT_EQ(want[i].prevalence, got[i].prevalence);
+    }
+  }
+  EXPECT_TRUE(any);
 }
 
 TEST(Checkpoint, AtomicFileSaveAndLoad) {

@@ -266,27 +266,6 @@ class TableColumnsSource : public EpochColumnsSource {
   const SessionTable& table_;
 };
 
-void expect_analyses_identical(const CriticalAnalysis& expected,
-                               const CriticalAnalysis& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.metric, actual.metric);
-  EXPECT_EQ(expected.sessions, actual.sessions);
-  EXPECT_EQ(expected.problem_sessions, actual.problem_sessions);
-  EXPECT_EQ(expected.problem_sessions_in_pc, actual.problem_sessions_in_pc);
-  EXPECT_EQ(expected.num_problem_clusters, actual.num_problem_clusters);
-  EXPECT_EQ(expected.problem_cluster_keys, actual.problem_cluster_keys);
-  // Bit-identical, not approximately equal: the streaming fold must feed
-  // the exact same numbers into the attribution solver.
-  EXPECT_EQ(expected.attributed_mass, actual.attributed_mass);
-  ASSERT_EQ(expected.criticals.size(), actual.criticals.size());
-  for (std::size_t i = 0; i < expected.criticals.size(); ++i) {
-    EXPECT_EQ(expected.criticals[i].key.raw(), actual.criticals[i].key.raw());
-    EXPECT_EQ(expected.criticals[i].attributed,
-              actual.criticals[i].attributed);
-    EXPECT_EQ(expected.criticals[i].stats, actual.criticals[i].stats);
-  }
-}
-
 TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   const SessionTable trace = medium_trace(3, 4'000);
   PipelineConfig config;
@@ -308,7 +287,7 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
         for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
           SCOPED_TRACE("workers=" + std::to_string(workers) +
                        " shards=" + std::to_string(shards));
-          expect_analyses_identical(baseline.at(m, e).analysis,
+          test::expect_same_analysis(baseline.at(m, e).analysis,
                                     streamed.at(m, e).analysis);
         }
       }
@@ -317,7 +296,7 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
       const PipelineResult parallel = run_pipeline(trace, config);
       for (const Metric m : kAllMetrics) {
         for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-          expect_analyses_identical(baseline.at(m, e).analysis,
+          test::expect_same_analysis(baseline.at(m, e).analysis,
                                     parallel.at(m, e).analysis);
         }
       }
@@ -345,24 +324,6 @@ TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
   EXPECT_EQ(result.degraded_epochs, (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(result.is_degraded(0));
   EXPECT_TRUE(result.is_degraded(1));
-}
-
-TEST(StreamingPipeline, UnfoldedEngineAgreesToo) {
-  // The streaming path materialises rows per epoch when the diagnostic
-  // unfolded engine is selected; it must agree with the in-memory run.
-  const SessionTable trace = medium_trace(2, 1'500);
-  PipelineConfig config;
-  config.engine.fold_leaves = false;
-  config.cluster_params.min_sessions = 40;
-  const PipelineResult baseline = run_pipeline(trace, config);
-  TableColumnsSource source{trace};
-  const PipelineResult streamed = run_pipeline_streaming(source, config);
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-      expect_analyses_identical(baseline.at(m, e).analysis,
-                                streamed.at(m, e).analysis);
-    }
-  }
 }
 
 }  // namespace

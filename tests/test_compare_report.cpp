@@ -109,8 +109,9 @@ TEST(Compare, ImprovedVsPersistingThresholds) {
 TEST(Compare, SortedByAbsoluteMassChange) {
   const PipelineResult before = result_with_cdn(60);
   const PipelineResult after = result_with_cdn(0);
-  const auto& clusters =
-      compare_results(before, after).at(Metric::kBufRatio).clusters;
+  // Held by value: at() returns a reference into the comparison.
+  const TraceComparison comparison = compare_results(before, after);
+  const auto& clusters = comparison.at(Metric::kBufRatio).clusters;
   for (std::size_t i = 1; i < clusters.size(); ++i) {
     EXPECT_GE(std::abs(clusters[i - 1].mass_after -
                        clusters[i - 1].mass_before),

@@ -202,19 +202,20 @@ TEST(CriticalCandidateMasks, DirectInspection) {
   s.add(Attrs{.cdn = 2, .asn = 2}, 210, 1890);
   const auto table = aggregate_epoch(s.sessions, s.thresholds, {}, 0);
 
-  const ClusterKey bad_leaf =
-      ClusterKey::pack(kFullMask, Attrs{.cdn = 1, .asn = 1}.vec());
-  const auto candidates = critical_candidate_masks(bad_leaf, table, s.params,
-                                                   Metric::kBufRatio);
+  const auto masks_of = [&](const Attrs& attrs) {
+    const std::uint64_t leaf = ClusterKey::pack(kFullMask, attrs.vec()).raw();
+    const std::vector<std::uint64_t>& keys = table.leaf_index.leaf_keys;
+    const auto it = std::lower_bound(keys.begin(), keys.end(), leaf);
+    EXPECT_TRUE(it != keys.end() && *it == leaf);
+    return leaf_critical_masks(table, s.params, Metric::kBufRatio)
+        [static_cast<std::size_t>(it - keys.begin())];
+  };
+  const auto candidates = masks_of(Attrs{.cdn = 1, .asn = 1});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0], kCdnAsnMask);
 
   // A background leaf has no flagged cluster anywhere in its cone.
-  const ClusterKey clean_leaf =
-      ClusterKey::pack(kFullMask, Attrs{.cdn = 2, .asn = 2}.vec());
-  EXPECT_TRUE(critical_candidate_masks(clean_leaf, table, s.params,
-                                       Metric::kBufRatio)
-                  .empty());
+  EXPECT_TRUE(masks_of(Attrs{.cdn = 2, .asn = 2}).empty());
 }
 
 TEST(CriticalCluster, MetricsAnalysedIndependently) {

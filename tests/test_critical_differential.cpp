@@ -1,8 +1,9 @@
-// Differential tests for the indexed critical-cluster extraction: on the
-// same epoch table, the indexed strategy (flag bitsets + per-leaf cell-id
-// gathers, serial and sharded) must reproduce the hashed baseline bit for
-// bit — criticals (same order), attribution doubles, problem_cluster_keys,
-// and problem_sessions_in_pc — at multiple arity caps and shard counts.
+// Differential tests for the critical-cluster extraction: on the same
+// epoch, production (flag bitsets + per-leaf cell-id gathers, serial and
+// sharded) must reproduce the oracle's straight-line §3.2 analysis
+// (tests/oracle.h) bit for bit — criticals (same order), attribution
+// doubles, problem_cluster_keys, and problem_sessions_in_pc — at arity caps
+// {1, 2, 7} and shard counts {1, 4}.
 
 #include <gtest/gtest.h>
 
@@ -12,84 +13,38 @@
 
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
-#include "src/gen/tracegen.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
 #include "tests/test_support.h"
 
 namespace vq {
 namespace {
 
-/// Bit-exact equality of every analysis field, including doubles (the
-/// strategies are required to share one floating-point accumulation order,
-/// so EXPECT_EQ — not NEAR — is the contract).
-void expect_analyses_identical(const CriticalAnalysis& expected,
-                               const CriticalAnalysis& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.metric, actual.metric);
-  EXPECT_EQ(expected.sessions, actual.sessions);
-  EXPECT_EQ(expected.problem_sessions, actual.problem_sessions);
-  EXPECT_EQ(expected.problem_sessions_in_pc, actual.problem_sessions_in_pc);
-  EXPECT_EQ(expected.global_ratio, actual.global_ratio);
-  EXPECT_EQ(expected.num_problem_clusters, actual.num_problem_clusters);
-  EXPECT_EQ(expected.problem_cluster_keys, actual.problem_cluster_keys);
-  EXPECT_EQ(expected.attributed_mass, actual.attributed_mass);
-  ASSERT_EQ(expected.criticals.size(), actual.criticals.size());
-  for (std::size_t i = 0; i < expected.criticals.size(); ++i) {
-    EXPECT_EQ(expected.criticals[i].key, actual.criticals[i].key);
-    EXPECT_EQ(expected.criticals[i].attributed, actual.criticals[i].attributed);
-    EXPECT_EQ(expected.criticals[i].stats, actual.criticals[i].stats);
-  }
-}
-
-SessionTable big_trace() {
-  // Small attribute universe so leaves repeat heavily and clusters clear the
-  // significance floor; mirrors test_fold_differential.cpp.
-  WorldConfig world_config;
-  world_config.num_sites = 12;
-  world_config.num_cdns = 3;
-  world_config.num_asns = 25;
-  const World world = World::build(world_config);
-  EventScheduleConfig event_config;
-  event_config.num_epochs = 1;
-  const EventSchedule events = EventSchedule::generate(world, event_config);
-  TraceConfig trace_config;
-  trace_config.num_epochs = 1;
-  trace_config.sessions_per_epoch = 50'000;
-  trace_config.diurnal_amplitude = 0.0;  // epoch 0 gets the full 50k
-  return generate_trace(world, events, trace_config);
-}
+const ProblemClusterParams kParams{.ratio_multiplier = 1.5,
+                                   .min_sessions = 150};
 
 class CriticalDifferential : public ::testing::TestWithParam<int> {};
 
-TEST_P(CriticalDifferential, IndexedMatchesHashedBitForBit) {
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
+TEST_P(CriticalDifferential, IndexedMatchesOracleBitForBit) {
+  const std::span<const Session> sessions =
+      test::dense_epoch_trace().epoch(0);
   ClusterEngineConfig config;
   config.max_arity = GetParam();
 
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
+  const LeafFold fold = fold_sessions(sessions, ProblemThresholds{}, 0);
   const EpochClusterTable table = expand_fold(fold, config);
-  ASSERT_FALSE(table.leaf_index.empty());
+  const oracle::Lattice lattice = oracle::lattice(fold, config.max_arity);
 
   ThreadPool pool{4};
   std::size_t total_criticals = 0;
   for (const Metric m : kAllMetrics) {
-    const CriticalAnalysis hashed =
-        find_critical_clusters_hashed(fold, table, params, m);
-    total_criticals += hashed.criticals.size();
-
-    const CriticalAnalysis indexed =
-        find_critical_clusters_indexed(table, params, m);
-    expect_analyses_identical(hashed, indexed);
-
+    const CriticalAnalysis want = oracle::critical(lattice, kParams, m);
+    total_criticals += want.criticals.size();
+    test::expect_same_analysis(want,
+                               find_critical_clusters(fold, table, kParams, m));
     for (const std::size_t shards : {1u, 4u}) {
-      const CriticalAnalysis sharded =
-          find_critical_clusters_indexed(table, params, m, &pool, shards);
-      expect_analyses_identical(hashed, sharded);
+      test::expect_same_analysis(
+          want, find_critical_clusters(fold, table, kParams, m, &pool, shards));
     }
   }
   // Guard against a vacuous pass: this trace must actually produce
@@ -98,82 +53,38 @@ TEST_P(CriticalDifferential, IndexedMatchesHashedBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ArityCaps, CriticalDifferential,
-                         ::testing::Values(2, 7), [](const auto& info) {
+                         ::testing::Values(1, 2, 7), [](const auto& info) {
                            return "arity" + std::to_string(info.param);
                          });
 
-TEST(CriticalDifferential, IndexedPathAgreesAcrossExpansionEngines) {
-  // The indexed critical path must produce the same analysis whether the
-  // epoch table (and its LeafCellIndex) came from the mask-major or the
-  // hashed expansion engine — the dense-id numberings differ, but every
-  // analysis output is id-order independent.
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  ClusterEngineConfig hashed_config;
-  hashed_config.expand = ExpandStrategy::kHashed;
-  const EpochClusterTable from_hashed = expand_fold(fold, hashed_config);
-  const EpochClusterTable from_mask_major = expand_fold(fold, {});
-  ASSERT_TRUE(from_mask_major.clusters.sorted());
-  ASSERT_FALSE(from_hashed.clusters.sorted());
-
+TEST(CriticalDifferential, AnalyzeEpochMatchesOracle) {
+  // The shared per-epoch engine every entry point calls.
+  const LeafFold fold =
+      fold_sessions(test::dense_epoch_trace().epoch(0), ProblemThresholds{}, 0);
+  const oracle::Lattice lattice = oracle::lattice(fold);
   ThreadPool pool{4};
-  std::size_t total_criticals = 0;
+  const EpochAnalyses got = analyze_epoch(fold, {}, kParams, &pool, 4);
   for (const Metric m : kAllMetrics) {
-    const CriticalAnalysis baseline =
-        find_critical_clusters_hashed(fold, from_hashed, params, m);
-    total_criticals += baseline.criticals.size();
-    // Hashed critical extraction over the sorted-mode store (pure
-    // binary-search lookups) and indexed extraction over both tables.
-    expect_analyses_identical(
-        baseline,
-        find_critical_clusters_hashed(fold, from_mask_major, params, m));
-    for (const std::size_t shards : {1u, 4u}) {
-      expect_analyses_identical(
-          baseline, find_critical_clusters_indexed(from_mask_major, params,
-                                                   m, &pool, shards));
-      expect_analyses_identical(
-          baseline, find_critical_clusters_indexed(from_hashed, params, m,
-                                                   &pool, shards));
-    }
+    test::expect_same_analysis(oracle::critical(lattice, kParams, m),
+                               got[static_cast<std::uint8_t>(m)]);
   }
-  EXPECT_GT(total_criticals, 0u);
 }
 
-TEST(CriticalDifferential, DispatchSelectsStrategyByIndexPresence) {
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  ClusterEngineConfig no_index;
-  no_index.index_cells = false;
-  const EpochClusterTable plain = expand_fold(fold, no_index);
-  ASSERT_TRUE(plain.leaf_index.empty());
-  const EpochClusterTable indexed = expand_fold(fold, {});
-
-  for (const Metric m : kAllMetrics) {
-    // Without an index the dispatcher must fall back to the hashed
-    // strategy (and produce the same analysis as the explicit call).
-    expect_analyses_identical(
-        find_critical_clusters_hashed(fold, plain, params, m),
-        find_critical_clusters(fold, plain, params, m));
-    // With one it must agree too — strategies are interchangeable.
-    expect_analyses_identical(
-        find_critical_clusters_hashed(fold, indexed, params, m),
-        find_critical_clusters(fold, indexed, params, m));
-  }
-
-  // Asking for the indexed strategy on an index-less non-empty table is a
-  // caller error, not a silent fallback.
+TEST(CriticalDifferential, RejectsTableNotExpandedFromFold) {
+  const std::span<const Session> sessions =
+      test::dense_epoch_trace().epoch(0);
+  const LeafFold fold = fold_sessions(sessions, ProblemThresholds{}, 0);
+  const LeafFold half =
+      fold_sessions(sessions.first(sessions.size() / 2), ProblemThresholds{}, 0);
+  const EpochClusterTable table = expand_fold(half, {});
   EXPECT_THROW(
-      (void)find_critical_clusters_indexed(plain, params, Metric::kBufRatio),
+      (void)find_critical_clusters(fold, table, kParams, Metric::kBufRatio),
+      std::invalid_argument);
+  // A hand-built table without a leaf index is rejected the same way.
+  EpochClusterTable bare;
+  bare.root = fold.root;
+  EXPECT_THROW(
+      (void)find_critical_clusters(fold, bare, kParams, Metric::kBufRatio),
       std::invalid_argument);
 }
 

@@ -1,12 +1,11 @@
 // Differential tests for the mask-major hash-free lattice expansion: on the
-// same leaf fold, the mask-major engine (serial, sharded, SIMD and scalar
-// kernels) must reproduce the retained hashed baseline's cell contents bit
-// for bit, with a dense-id layout that is canonical (mask-major,
-// key-ascending) and invariant across shard counts and kernel variants —
-// over arity caps {1, 2, 7}, shard counts {1, 4}, and adversarial folds.
-// Also unit-covers the expand_kernels.h batch kernels against their scalar
-// ground truth (ClusterKey::project, std::stable_sort) and the sorted-mode
-// CellStore contract.
+// same leaf fold, the expansion (serial, sharded, SIMD and scalar kernels)
+// must reproduce the oracle's cell contents (tests/oracle.h) bit for bit,
+// with a dense-id layout that is canonical (mask-major, key-ascending) and
+// invariant across shard counts and kernel variants — over arity caps
+// {1, 2, 7}, shard counts {1, 4}, and adversarial folds.  Also unit-covers
+// the expand_kernels.h batch kernels against their scalar ground truth
+// (ClusterKey::project, std::stable_sort) and the CellStore contract.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +24,9 @@
 #include "src/core/cluster_engine.h"
 #include "src/core/expand_kernels.h"
 #include "src/core/pipeline.h"
-#include "src/gen/tracegen.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -54,7 +53,6 @@ LeafFold make_fold(std::span<const std::pair<AttrVec, ClusterStats>> leaves) {
 
 /// The mask-major dense-id contract: ids ascend by (mask value, raw key).
 void expect_canonical_layout(const CellStore& store) {
-  ASSERT_TRUE(store.sorted());
   const std::span<const std::uint64_t> keys = store.keys();
   for (std::size_t id = 1; id < keys.size(); ++id) {
     const std::uint64_t prev_mask = keys[id - 1] & kFullMask;
@@ -66,27 +64,15 @@ void expect_canonical_layout(const CellStore& store) {
   }
 }
 
-/// Same cell set with identical counters, plus id_of/key round trips.
-void expect_same_cells(const EpochClusterTable& expected,
-                       const EpochClusterTable& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.clusters.size(), actual.clusters.size());
-  std::size_t mismatches = 0;
-  expected.clusters.for_each(
-      [&](std::uint64_t raw, const ClusterStats& stats) {
-        const ClusterStats* other = actual.clusters.find(raw);
-        if (other == nullptr || !(stats == *other)) ++mismatches;
-        const std::uint32_t id = actual.clusters.id_of(raw);
-        if (id == CellStore::kNoCell || actual.clusters.key(id) != raw) {
-          ++mismatches;
-        }
-      });
-  EXPECT_EQ(mismatches, 0u);
+/// Every stored key resolves to its own id through the binary search.
+void expect_ids_round_trip(const CellStore& store) {
+  for (std::uint32_t id = 0; id < store.size(); ++id) {
+    ASSERT_EQ(store.id_of(store.key(id)), id);
+  }
 }
 
 /// Identical arrays, id for id — the layout-invariance contract between two
-/// runs of the *same* engine (different shard counts / kernels).
+/// runs with different shard counts / kernels.
 void expect_tables_elementwise_equal(const EpochClusterTable& expected,
                                      const EpochClusterTable& actual) {
   EXPECT_EQ(expected.root, actual.root);
@@ -102,7 +88,7 @@ void expect_tables_elementwise_equal(const EpochClusterTable& expected,
 }
 
 /// Every LeafCellIndex row slot must point at the cell whose key is that
-/// leaf's projection — the engine-independent meaning of the index.
+/// leaf's projection — the meaning of the index.
 void expect_index_rows_valid(const EpochClusterTable& table) {
   const LeafCellIndex& index = table.leaf_index;
   for (std::size_t leaf = 0; leaf < index.num_leaves(); ++leaf) {
@@ -117,69 +103,36 @@ void expect_index_rows_valid(const EpochClusterTable& table) {
   }
 }
 
-/// Full new-vs-hashed differential for one fold at one arity cap: serial
-/// and sharded runs of both engines, SIMD and scalar kernels.
+/// Full oracle differential for one fold at one arity cap: serial and
+/// sharded runs, SIMD and scalar kernels.
 void run_differential(const LeafFold& fold, int arity) {
   SCOPED_TRACE("arity " + std::to_string(arity));
-  ClusterEngineConfig hashed_config;
-  hashed_config.max_arity = arity;
-  hashed_config.expand = ExpandStrategy::kHashed;
-  ClusterEngineConfig mm_config;
-  mm_config.max_arity = arity;
-  ASSERT_EQ(mm_config.expand, ExpandStrategy::kMaskMajor);  // the default
+  ClusterEngineConfig config;
+  config.max_arity = arity;
 
-  const EpochClusterTable hashed = expand_fold(fold, hashed_config);
-  const EpochClusterTable mask_major = expand_fold(fold, mm_config);
-  EXPECT_FALSE(hashed.clusters.sorted());
-  expect_canonical_layout(mask_major.clusters);
-  expect_same_cells(hashed, mask_major);
-  expect_same_cells(mask_major, hashed);
-  expect_index_rows_valid(hashed);
-  expect_index_rows_valid(mask_major);
-  EXPECT_EQ(hashed.leaf_index.leaf_keys, mask_major.leaf_index.leaf_keys);
-  EXPECT_EQ(hashed.leaf_index.leaf_stats, mask_major.leaf_index.leaf_stats);
+  const EpochClusterTable table = expand_fold(fold, config);
+  test::expect_same_cells(oracle::lattice(fold, arity), table);
+  expect_canonical_layout(table.clusters);
+  expect_ids_round_trip(table.clusters);
+  expect_index_rows_valid(table);
 
-  ClusterEngineConfig scalar_config = mm_config;
+  ClusterEngineConfig scalar_config = config;
   scalar_config.expand_kernel = BatchKernel::kScalar;
-  expect_tables_elementwise_equal(mask_major,
-                                  expand_fold(fold, scalar_config));
+  expect_tables_elementwise_equal(table, expand_fold(fold, scalar_config));
 
   ThreadPool pool{4};
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    expect_tables_elementwise_equal(
-        mask_major, expand_fold(fold, mm_config, &pool, shards));
-    const EpochClusterTable hashed_sharded =
-        expand_fold(fold, hashed_config, &pool, shards);
-    expect_same_cells(hashed, hashed_sharded);
-    expect_index_rows_valid(hashed_sharded);
+    expect_tables_elementwise_equal(table,
+                                    expand_fold(fold, config, &pool, shards));
   }
-}
-
-SessionTable big_trace() {
-  // Small attribute universe so leaves repeat heavily; mirrors
-  // test_fold_differential.cpp.
-  WorldConfig world_config;
-  world_config.num_sites = 12;
-  world_config.num_cdns = 3;
-  world_config.num_asns = 25;
-  const World world = World::build(world_config);
-  EventScheduleConfig event_config;
-  event_config.num_epochs = 1;
-  const EventSchedule events = EventSchedule::generate(world, event_config);
-  TraceConfig trace_config;
-  trace_config.num_epochs = 1;
-  trace_config.sessions_per_epoch = 50'000;
-  trace_config.diurnal_amplitude = 0.0;  // epoch 0 gets the full 50k
-  return generate_trace(world, events, trace_config);
 }
 
 class ExpandDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExpandDifferential, GeneratedTrace) {
-  static const SessionTable trace = big_trace();
   const LeafFold fold =
-      fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
+      fold_sessions(test::dense_epoch_trace().epoch(0), ProblemThresholds{}, 0);
   // Enough distinct leaves to take the sharded paths for real.
   ASSERT_GT(fold.leaves.size(), 512u);
   run_differential(fold, GetParam());
@@ -239,39 +192,21 @@ INSTANTIATE_TEST_SUITE_P(ArityCaps, ExpandDifferential,
                            return "arity" + std::to_string(info.param);
                          });
 
-TEST(ExpandDifferential, PipelineOutputsAgreeAcrossEngines) {
+TEST(ExpandDifferential, PipelineOutputsMatchOracle) {
   // End to end: the full pipeline (fold -> expand -> per-metric critical
-  // analysis) must publish identical results whichever expansion engine
-  // built the per-epoch tables.
-  static const SessionTable trace = big_trace();
-  PipelineConfig hashed_config;
-  hashed_config.cluster_params = {.ratio_multiplier = 1.5,
-                                  .min_sessions = 150};
-  hashed_config.workers = 2;
-  hashed_config.shards = 4;
-  hashed_config.engine.expand = ExpandStrategy::kHashed;
-  PipelineConfig mm_config = hashed_config;
-  mm_config.engine.expand = ExpandStrategy::kMaskMajor;
-
-  const PipelineResult hashed = run_pipeline(trace, hashed_config);
-  const PipelineResult mask_major = run_pipeline(trace, mm_config);
-  ASSERT_EQ(hashed.num_epochs, mask_major.num_epochs);
+  // analysis) at workers x shards 2 x 4 must publish the oracle's analyses.
+  const SessionTable& trace = test::dense_epoch_trace();
+  PipelineConfig config;
+  config.cluster_params = {.ratio_multiplier = 1.5, .min_sessions = 150};
+  config.workers = 2;
+  config.shards = 4;
+  const PipelineResult result = run_pipeline(trace, config);
+  const oracle::Lattice lattice =
+      oracle::lattice(fold_sessions(trace.epoch(0), config.thresholds, 0));
   for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < hashed.num_epochs; ++e) {
-      const CriticalAnalysis& a = hashed.at(m, e).analysis;
-      const CriticalAnalysis& b = mask_major.at(m, e).analysis;
-      EXPECT_EQ(a.problem_sessions, b.problem_sessions);
-      EXPECT_EQ(a.problem_sessions_in_pc, b.problem_sessions_in_pc);
-      EXPECT_EQ(a.num_problem_clusters, b.num_problem_clusters);
-      EXPECT_EQ(a.problem_cluster_keys, b.problem_cluster_keys);
-      EXPECT_EQ(a.attributed_mass, b.attributed_mass);
-      ASSERT_EQ(a.criticals.size(), b.criticals.size());
-      for (std::size_t i = 0; i < a.criticals.size(); ++i) {
-        EXPECT_EQ(a.criticals[i].key, b.criticals[i].key);
-        EXPECT_EQ(a.criticals[i].attributed, b.criticals[i].attributed);
-        EXPECT_EQ(a.criticals[i].stats, b.criticals[i].stats);
-      }
-    }
+    test::expect_same_analysis(
+        oracle::critical(lattice, config.cluster_params, m),
+        result.at(m, 0).analysis);
   }
 }
 
@@ -391,12 +326,10 @@ TEST(ExpandKernels, RadixSortMatchesStableSort) {
 }
 
 TEST(CellStoreSorted, LookupsAndAccessors) {
-  static const SessionTable trace = big_trace();
   const LeafFold fold =
-      fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
+      fold_sessions(test::dense_epoch_trace().epoch(0), ProblemThresholds{}, 0);
   const EpochClusterTable table = expand_fold(fold, {});
   const CellStore& store = table.clusters;
-  ASSERT_TRUE(store.sorted());
   ASSERT_GT(store.size(), 0u);
 
   // Every stored key resolves to its own id through the binary search.
@@ -411,20 +344,6 @@ TEST(CellStoreSorted, LookupsAndAccessors) {
   EXPECT_EQ(store.id_of(absent), CellStore::kNoCell);
   EXPECT_EQ(store.find(absent), nullptr);
   EXPECT_FALSE(store.contains(0));
-}
-
-TEST(CellStoreSorted, MutatorsThrow) {
-  const EpochClusterTable table = expand_fold(LeafFold{}, {});
-  CellStore store = table.clusters;  // copy keeps sorted mode
-  ASSERT_TRUE(store.sorted());
-  EXPECT_THROW((void)store.id_or_insert(0x81), std::logic_error);
-  EXPECT_THROW((void)store.bump(0x81, ClusterStats{}), std::logic_error);
-  EXPECT_THROW((void)store[0x81], std::logic_error);
-  CellStore target;
-  (void)target.bump(0x81, ClusterStats{});
-  EXPECT_THROW(store.merge_add(target), std::logic_error);
-  // Merging *from* a sorted store into a mutable one is fine (reads only).
-  target.merge_add(store);
 }
 
 TEST(CellStoreSorted, FromMaskMajorValidatesShapes) {

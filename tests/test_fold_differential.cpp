@@ -1,7 +1,7 @@
-// Differential tests for the leaf-folded aggregation path: on the same
-// trace, the folded two-pass engine (serial and sharded) must reproduce the
-// original session-by-session lattice bit for bit — root and every cluster
-// cell — at multiple arity caps.
+// Differential tests for the two-pass aggregation: on the same trace, the
+// leaf fold plus lattice expansion (serial and sharded) must reproduce the
+// oracle's session-by-session lattice (tests/oracle.h) bit for bit — root
+// and every cluster cell — at multiple arity caps.
 
 #include <gtest/gtest.h>
 
@@ -12,50 +12,18 @@
 
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
-#include "src/gen/tracegen.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
 #include "tests/test_support.h"
 
 namespace vq {
 namespace {
 
-/// Full-table equality: same cell set, identical counters everywhere.
-void expect_tables_identical(const EpochClusterTable& expected,
-                             const EpochClusterTable& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.clusters.size(), actual.clusters.size());
-  std::size_t mismatches = 0;
-  expected.clusters.for_each(
-      [&](std::uint64_t raw, const ClusterStats& stats) {
-        const ClusterStats* other = actual.clusters.find(raw);
-        if (other == nullptr || !(stats == *other)) ++mismatches;
-      });
-  EXPECT_EQ(mismatches, 0u);
-}
-
-SessionTable big_trace() {
-  // A small attribute universe so leaves repeat heavily (the regime the fold
-  // targets): ~sites x cdns x asns x device combos << 50k sessions.
-  WorldConfig world_config;
-  world_config.num_sites = 12;
-  world_config.num_cdns = 3;
-  world_config.num_asns = 25;
-  const World world = World::build(world_config);
-  EventScheduleConfig event_config;
-  event_config.num_epochs = 1;
-  const EventSchedule events = EventSchedule::generate(world, event_config);
-  TraceConfig trace_config;
-  trace_config.num_epochs = 1;
-  trace_config.sessions_per_epoch = 50'000;
-  trace_config.diurnal_amplitude = 0.0;  // epoch 0 gets the full 50k
-  return generate_trace(world, events, trace_config);
-}
-
 class FoldDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(FoldDifferential, FoldedMatchesUnfoldedOn50kSessions) {
-  static const SessionTable trace = big_trace();
+  // "Unfolded": the oracle bumps every cell once per session, no fold.
+  const SessionTable& trace = test::dense_epoch_trace();
   ASSERT_GE(trace.size(), 50'000u);
   const std::span<const Session> sessions = trace.epoch(0);
   const ProblemThresholds thresholds;
@@ -63,35 +31,24 @@ TEST_P(FoldDifferential, FoldedMatchesUnfoldedOn50kSessions) {
   ClusterEngineConfig config;
   config.max_arity = GetParam();
 
-  const EpochClusterTable unfolded =
-      aggregate_epoch_unfolded(sessions, thresholds, config, 0);
+  const oracle::Lattice want =
+      oracle::lattice(sessions, thresholds, 0, config.max_arity);
   // The distinct-leaf count must be well below the session count for the
   // fold to be a meaningful compression (and for this test to exercise it).
   const LeafFold fold = fold_sessions(sessions, thresholds, 0);
   EXPECT_LT(fold.leaves.size(), sessions.size() / 2);
-  EXPECT_EQ(fold.root, unfolded.root);
-
-  const EpochClusterTable folded = expand_fold(fold, config);
-  expect_tables_identical(unfolded, folded);
-
+  // expect_same_cells also checks the fold's leaves, via the leaf index.
+  test::expect_same_cells(want, expand_fold(fold, config));
   ThreadPool pool{4};
   for (const std::size_t shards : {2u, 7u}) {
-    const EpochClusterTable sharded =
-        expand_fold(fold, config, &pool, shards);
-    expect_tables_identical(unfolded, sharded);
+    test::expect_same_cells(want, expand_fold(fold, config, &pool, shards));
   }
-
-  // The public entry point dispatches to the folded path by default and to
-  // the unfolded one when disabled; both must agree with the baseline.
-  config.fold_leaves = true;
-  expect_tables_identical(unfolded,
-                          aggregate_epoch(sessions, thresholds, config, 0));
-  config.fold_leaves = false;
-  expect_tables_identical(unfolded,
+  test::expect_same_cells(want,
                           aggregate_epoch(sessions, thresholds, config, 0));
 }
 
-INSTANTIATE_TEST_SUITE_P(ArityCaps, FoldDifferential, ::testing::Values(2, 7),
+INSTANTIATE_TEST_SUITE_P(ArityCaps, FoldDifferential,
+                         ::testing::Values(1, 2, 7),
                          [](const auto& info) {
                            return "arity" + std::to_string(info.param);
                          });
@@ -100,8 +57,7 @@ TEST(FoldDifferential, CriticalAnalysisAgreesAcrossOverloads) {
   // The fold-based and session-span find_critical_clusters overloads must
   // produce the same analysis (they share one implementation; this pins the
   // wrapper's folding step).
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
+  const std::span<const Session> sessions = test::dense_epoch_trace().epoch(0);
   const ProblemThresholds thresholds;
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 150};
@@ -146,7 +102,14 @@ TEST(FoldDifferential, FoldAccumulatesPerLeafCounters) {
 TEST(FoldDifferential, FoldRejectsEpochMismatch) {
   std::vector<Session> sessions;
   test::add_sessions(sessions, 3, test::Attrs{}, test::good_quality(), 1);
-  EXPECT_THROW((void)fold_sessions(sessions, {}, 0), std::invalid_argument);
+  try {
+    (void)fold_sessions(sessions, {}, 0);
+    FAIL() << "fold_sessions accepted a session from another epoch";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "fold_sessions: session epoch 3 does not match the folded "
+                 "epoch 0");
+  }
 }
 
 }  // namespace

@@ -149,22 +149,10 @@ TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
   sharded_config.workers = 4;
   sharded_config.shards = 4;
   const PipelineResult sharded = run_pipeline(trace, sharded_config);
-  PipelineConfig unfolded_config = config;
-  unfolded_config.engine.fold_leaves = false;
-  const PipelineResult unfolded = run_pipeline(trace, unfolded_config);
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      const auto& a = result.at(m, e);
-      for (const auto* other : {&sharded.at(m, e), &unfolded.at(m, e)}) {
-        EXPECT_EQ(a.analysis.problem_sessions, other->analysis.problem_sessions);
-        EXPECT_EQ(a.analysis.problem_cluster_keys,
-                  other->analysis.problem_cluster_keys);
-        ASSERT_EQ(a.analysis.criticals.size(), other->analysis.criticals.size());
-        for (std::size_t i = 0; i < a.analysis.criticals.size(); ++i) {
-          EXPECT_EQ(a.analysis.criticals[i].key,
-                    other->analysis.criticals[i].key);
-        }
-      }
+      test::expect_same_analysis(result.at(m, e).analysis,
+                                 sharded.at(m, e).analysis);
     }
   }
 }

@@ -12,14 +12,16 @@
 // analyze and monitor stream .vqtc inputs one epoch at a time instead of
 // materializing the trace.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <string>
-
-#include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "src/baseline/hhh.h"
 #include "src/core/anomaly.h"
@@ -64,10 +66,10 @@ int usage() {
       "  vidqual generate --out FILE [--epochs N=48] [--sessions N=3000]\n"
       "                   [--seed S=2013] [--sites N=379] [--cdns N=19]\n"
       "                   [--asns N=2000] [--no-events]\n"
+      "                   [--format csv|binary|columnar]\n"
       "  vidqual analyze  --in FILE [--min-sessions N=auto] [--top K=5]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
-      "                   [--workers N=auto] [--shards N=auto]\n"
-      "                   [--incremental] [--max-cells N]\n"
+      "                   [--workers N=auto] [--shards N=auto] [--max-cells N]\n"
       "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual convert  --in FILE --out FILE [--format csv|binary|"
       "columnar]\n"
@@ -79,9 +81,8 @@ int usage() {
       "  vidqual monitor  --in FILE [--delay H=1] [--min-sessions N=auto]\n"
       "                   [--checkpoint FILE] [--on-error strict|quarantine|"
       "best-effort]\n"
-      "                   [--workers N=1] [--shards N=1] [--incremental]\n"
-      "                   [--stop-after N] [--stats-out FILE] "
-      "[--trace-out FILE]\n"
+      "                   [--workers N=1] [--shards N=1] [--stop-after N]\n"
+      "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual monitor  --serve ADDR [--delay H=1] [--min-sessions N=1000]\n"
       "                   [--checkpoint FILE] [--on-error strict|quarantine|"
       "best-effort]\n"
@@ -90,7 +91,8 @@ int usage() {
       "N=30000]\n"
       "                   [--read-timeout-ms N=10000] [--max-frame-bytes N]\n"
       "                   [--max-conns N=64] [--serve-drain]\n"
-      "                   [--workers N=1] [--shards N=1] [--incremental]\n"
+      "                   [--workers N=1] [--shards N=1]\n"
+      "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual feed     --in FILE --connect ADDR [--rows-per-frame N=4096]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
       "  vidqual timeline --in FILE [--min-sessions N=auto] [--z 3.0]\n"
@@ -107,13 +109,24 @@ int usage() {
       "--stats-out writes the deterministic metric snapshot (byte-identical\n"
       "for any --workers/--shards); --trace-out writes per-stage spans as\n"
       "chrome://tracing / Perfetto JSON.\n"
-      "--incremental maintains the cluster lattice across epochs with\n"
-      "per-leaf deltas instead of re-expanding every epoch; results are\n"
-      "bit-identical, per-epoch cost proportional to leaf churn.\n"
       "--max-cells N bounds the lattice by sketch-based admission: only\n"
       "each epoch's heavy leaves (space-saving summary, N/127 leaf budget)\n"
-      "enter the exact lattice; global ratios stay exact.\n");
+      "enter the exact lattice; global ratios stay exact.\n"
+      "Every subcommand rejects options it does not define (exit 2).\n");
   return 2;
+}
+
+/// Names every option `command` does not define on stderr; true when there
+/// were none.  A misspelt or retired option must stop the run (exit 2), not
+/// silently fall back to a default.
+bool known_options_only(const ArgParser& args, const char* command,
+                        std::initializer_list<std::string_view> allowed) {
+  const std::vector<std::string> unknown = args.unknown_options(allowed);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "vidqual %s: unknown option --%s\n", command,
+                 name.c_str());
+  }
+  return unknown.empty();
 }
 
 enum class TraceFormat { kCsv, kBinary, kColumnar };
@@ -280,6 +293,11 @@ std::optional<Metric> parse_metric(std::string_view name) {
 }
 
 int cmd_generate(const ArgParser& args) {
+  if (!known_options_only(args, "generate",
+                          {"out", "epochs", "sessions", "seed", "sites",
+                           "cdns", "asns", "no-events", "format"})) {
+    return 2;
+  }
   const auto out = args.option("out");
   if (!out.has_value()) return usage();
 
@@ -324,6 +342,10 @@ int cmd_generate(const ArgParser& args) {
 /// row-error policy (so a damaged input can still be rescued into a clean
 /// output) and writes the resolved output format.
 int cmd_convert(const ArgParser& args) {
+  if (!known_options_only(args, "convert",
+                          {"in", "out", "format", "on-error"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   const auto out = args.option("out");
   if (!in.has_value() || !out.has_value()) return usage();
@@ -341,8 +363,8 @@ int cmd_convert(const ArgParser& args) {
   return 0;
 }
 
-/// In-memory EpochColumnsSource over a loaded SessionTable, so streaming-only
-/// modes (--incremental, --max-cells) also apply to csv/binary inputs.
+/// In-memory EpochColumnsSource over a loaded SessionTable, so the
+/// streaming-only --max-cells mode also applies to csv/binary inputs.
 class TableColumnsSource final : public EpochColumnsSource {
  public:
   TableColumnsSource(const SessionTable& table,
@@ -365,6 +387,12 @@ class TableColumnsSource final : public EpochColumnsSource {
 };
 
 int cmd_analyze(const ArgParser& args) {
+  if (!known_options_only(args, "analyze",
+                          {"in", "min-sessions", "top", "on-error", "workers",
+                           "shards", "max-cells", "stats-out",
+                           "trace-out"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
   const auto policy = on_error_policy(args);
@@ -373,7 +401,6 @@ int cmd_analyze(const ArgParser& args) {
   PipelineConfig config;
   config.workers = static_cast<std::size_t>(args.option_u64("workers", 0));
   config.shards = static_cast<std::size_t>(args.option_u64("shards", 0));
-  config.incremental = args.flag("incremental");
 
   // --max-cells: sketch-bounded admission replaces the exact pass-1 fold.
   const auto max_cells =
@@ -387,9 +414,9 @@ int cmd_analyze(const ArgParser& args) {
       return sketch->fold(columns, thresholds, epoch);
     };
   }
-  // Both knobs are streaming-only (pipeline.h); non-columnar inputs go
-  // through the in-memory adapter above when either is set.
-  const bool force_streaming = config.incremental || max_cells > 0;
+  // fold_provider is streaming-only (pipeline.h); non-columnar inputs go
+  // through the in-memory adapter above when it is set.
+  const bool force_streaming = max_cells > 0;
 
   // Columnar inputs stream epoch-by-epoch (O(one epoch) memory); the other
   // formats materialize.  Both paths produce identical reports on the same
@@ -480,6 +507,11 @@ int cmd_analyze(const ArgParser& args) {
 }
 
 int cmd_whatif(const ArgParser& args) {
+  if (!known_options_only(args, "whatif",
+                          {"in", "metric", "top-frac", "rank", "min-sessions",
+                           "reactive-delay"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
   const auto metric =
@@ -531,6 +563,14 @@ int cmd_whatif(const ArgParser& args) {
 /// only difference is where the rows come from, which is what the
 /// file-vs-socket differential test pins.
 int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
+  if (!known_options_only(
+          args, "monitor --serve",
+          {"serve", "delay", "min-sessions", "checkpoint", "on-error",
+           "queue-rows", "overload", "push-deadline-ms", "idle-timeout-ms",
+           "read-timeout-ms", "max-frame-bytes", "max-conns", "serve-drain",
+           "workers", "shards", "stats-out", "trace-out"})) {
+    return 2;
+  }
   const auto policy = on_error_policy(args);
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);
@@ -551,7 +591,6 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   config.order_policy = EpochOrderPolicy::kSkipStale;
   config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
   config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
-  config.incremental = args.flag("incremental");
   StreamingDetector detector{config};
 
   serve::ServeConfig serve_config;
@@ -645,6 +684,12 @@ int cmd_monitor(const ArgParser& args) {
   if (const auto serve_addr = args.option("serve")) {
     return cmd_monitor_serve(args, *serve_addr);
   }
+  if (!known_options_only(args, "monitor",
+                          {"in", "delay", "min-sessions", "checkpoint",
+                           "on-error", "workers", "shards", "stop-after",
+                           "stats-out", "trace-out"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
   const auto policy = on_error_policy(args);
@@ -680,7 +725,6 @@ int cmd_monitor(const ArgParser& args) {
       static_cast<std::uint32_t>(args.option_u64("delay", 1));
   config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
   config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
-  config.incremental = args.flag("incremental");
   StreamingDetector detector{config};
 
   // Resume: an existing checkpoint restores the registry/counters and skips
@@ -768,6 +812,10 @@ int cmd_monitor(const ArgParser& args) {
 /// is epoch-sorted after finalize, so send_rows naturally satisfies the
 /// server's non-decreasing-epoch contract.
 int cmd_feed(const ArgParser& args) {
+  if (!known_options_only(args, "feed",
+                          {"in", "connect", "rows-per-frame", "on-error"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   const auto addr = args.option("connect");
   if (!in.has_value() || !addr.has_value()) return usage();
@@ -788,6 +836,9 @@ int cmd_feed(const ArgParser& args) {
 }
 
 int cmd_timeline(const ArgParser& args) {
+  if (!known_options_only(args, "timeline", {"in", "min-sessions", "z"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
   const LoadedTrace loaded = load(*in);
@@ -857,6 +908,9 @@ int cmd_timeline(const ArgParser& args) {
 }
 
 int cmd_report(const ArgParser& args) {
+  if (!known_options_only(args, "report", {"in", "min-sessions", "top"})) {
+    return 2;
+  }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
   const LoadedTrace loaded = load(*in);
