@@ -1,7 +1,7 @@
-// Standalone leaf-fold benchmark: times the row-wise fold_sessions hot
-// loop against the column-batch kernels (scalar fallback and the widest
-// SIMD path the build supports) on one realistic epoch and writes the
-// numbers to BENCH_fold.json.
+// Standalone leaf-fold benchmark: times the column-batch fold
+// (fold_sessions_columns, the only fold loop) with the scalar fallback and
+// the widest SIMD kernel the build supports on one realistic epoch and
+// writes the numbers to BENCH_fold.json.
 //
 // Like perf_critical, this is a plain main() so CI can run it in smoke
 // mode (the bench-smoke gate diffs it against bench/baselines/
@@ -14,7 +14,7 @@
 //   VIDQUAL_FOLD_REPS      timed repetitions per variant     (default 20)
 //
 // Smoke mode shrinks both knobs so the whole binary finishes in seconds;
-// it still exercises every variant and the bit-identity check.
+// it still exercises both kernels and the bit-identity check.
 
 #include <chrono>
 #include <cstdio>
@@ -101,10 +101,6 @@ int main(int argc, char** argv) {
 
   // A "rep" is one full pass-1 fold of the epoch, so reps/sec is directly
   // fold epochs/sec — the unit the streaming pipeline consumes.
-  const double row_s = time_reps(reps, [&] {
-    const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
-    if (fold.root.sessions != trace.size()) std::abort();
-  });
   const double scalar_s = time_reps(reps, [&] {
     const LeafFold fold =
         fold_sessions_columns(columns, thresholds, 0, BatchKernel::kScalar);
@@ -116,32 +112,27 @@ int main(int argc, char** argv) {
     if (fold.root.sessions != trace.size()) std::abort();
   });
 
-  // Bit-identity before the numbers mean anything (the full differential
-  // lives in tests/test_columns_fold.cpp).
-  const LeafFold row_fold = fold_sessions(trace.epoch(0), thresholds, 0);
+  // Bit-identity before the numbers mean anything (the oracle
+  // differential lives in tests/test_columns_fold.cpp).
   const LeafFold scalar_fold =
       fold_sessions_columns(columns, thresholds, 0, BatchKernel::kScalar);
   const LeafFold simd_fold =
       fold_sessions_columns(columns, thresholds, 0, BatchKernel::kAuto);
-  if (!folds_identical(row_fold, scalar_fold) ||
-      !folds_identical(row_fold, simd_fold)) {
-    std::fprintf(stderr, "FATAL: fold variants disagree\n");
+  if (!folds_identical(scalar_fold, simd_fold)) {
+    std::fprintf(stderr, "FATAL: fold kernels disagree\n");
     return 1;
   }
 
   const double n = static_cast<double>(reps);
-  const double row_eps = n / row_s;
   const double scalar_eps = n / scalar_s;
   const double simd_eps = n / simd_s;
   const double sessions_per_sec =
       simd_eps * static_cast<double>(trace.size());
 
-  std::printf("  row-wise        : %8.2f folds/sec\n", row_eps);
-  std::printf("  columnar scalar : %8.2f folds/sec  (%.2fx)\n", scalar_eps,
-              scalar_eps / row_eps);
+  std::printf("  columnar scalar : %8.2f folds/sec\n", scalar_eps);
   std::printf("  columnar %-6s : %8.2f folds/sec  (%.2fx, %.1fM sess/s)\n",
               std::string{batch_kernel_name()}.c_str(), simd_eps,
-              simd_eps / row_eps, sessions_per_sec / 1e6);
+              simd_eps / scalar_eps, sessions_per_sec / 1e6);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -153,13 +144,11 @@ int main(int argc, char** argv) {
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"kernel\": \"" << batch_kernel_name() << "\",\n"
       << "  \"sessions\": " << trace.size() << ",\n"
-      << "  \"distinct_leaves\": " << row_fold.leaves.size() << ",\n"
+      << "  \"distinct_leaves\": " << simd_fold.leaves.size() << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"row_folds_per_sec\": " << row_eps << ",\n"
       << "  \"columnar_scalar_folds_per_sec\": " << scalar_eps << ",\n"
       << "  \"columnar_folds_per_sec\": " << simd_eps << ",\n"
-      << "  \"columnar_sessions_per_sec\": " << sessions_per_sec << ",\n"
-      << "  \"speedup_columnar_vs_row\": " << simd_eps / row_eps << "\n"
+      << "  \"columnar_sessions_per_sec\": " << sessions_per_sec << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

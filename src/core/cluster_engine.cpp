@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/core/columns.h"
 #include "src/core/expand_kernels.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -80,27 +81,15 @@ std::vector<std::uint8_t> lattice_masks(int max_arity) {
 LeafFold fold_sessions(std::span<const Session> sessions,
                        const ProblemThresholds& thresholds,
                        std::uint32_t epoch) {
-  LeafFold fold;
-  fold.epoch = epoch;
-  fold.leaves.reserve(sessions.size() / 4 + 16);
   for (const Session& s : sessions) {
     if (s.epoch != epoch) {
       throw std::invalid_argument{
           "fold_sessions: session epoch " + std::to_string(s.epoch) +
           " does not match the folded epoch " + std::to_string(epoch)};
     }
-    const std::uint8_t bits = thresholds.problem_bits(s.quality);
-    ClusterStats& leaf =
-        fold.leaves[ClusterKey::pack(kFullMask, s.attrs).raw()];
-    fold.root.sessions += 1;
-    leaf.sessions += 1;
-    for (int m = 0; m < kNumMetrics; ++m) {
-      const std::uint32_t bit = (bits >> m) & 1u;
-      fold.root.problems[m] += bit;
-      leaf.problems[m] += bit;
-    }
   }
-  return fold;
+  return fold_sessions_columns(SessionColumns::from_sessions(sessions, epoch),
+                               thresholds, epoch);
 }
 
 namespace {

@@ -6,12 +6,12 @@
 // one indexed cell store per epoch mapping packed ClusterKey -> dense cell
 // id -> ClusterStats, plus the epoch's global counters (the lattice root).
 //
-// Aggregation runs in two passes.  Pass 1 (fold_sessions, or the columnar
-// fold_sessions_columns in columns.h) folds sessions onto their distinct
-// full-arity leaves, one hash bump per session.  Pass 2 (expand_fold)
-// expands each *distinct* leaf across its projections, adding the leaf's
-// whole counter block per cell, so its cost scales with distinct leaves
-// rather than sessions.
+// Aggregation runs in two passes.  Pass 1 (fold_sessions_columns in
+// columns.h; fold_sessions converts rows and calls it) folds sessions onto
+// their distinct full-arity leaves, one hash bump per session.  Pass 2
+// (expand_fold) expands each *distinct* leaf across its projections, adding
+// the leaf's whole counter block per cell, so its cost scales with distinct
+// leaves rather than sessions.
 //
 // Pass 2 is a mask-major smallest-parent aggregation DAG.  Masks are
 // folded tier by tier in decreasing arity; each mask batch-projects the
@@ -193,8 +193,8 @@ struct LeafFold {
   FlatMap64<ClusterStats> leaves;
 };
 
-/// Folds one epoch's sessions into their distinct leaves (one hash op per
-/// session). All sessions must carry the same epoch id as `epoch`.
+/// Row form of the pass-1 fold: checks that every session carries `epoch`
+/// (std::invalid_argument otherwise), then fold_sessions_columns.
 [[nodiscard]] LeafFold fold_sessions(std::span<const Session> sessions,
                                      const ProblemThresholds& thresholds,
                                      std::uint32_t epoch);

@@ -53,12 +53,6 @@ Session SessionColumns::row(std::size_t i, std::uint32_t epoch) const {
   return s;
 }
 
-void SessionColumns::append_rows(std::uint32_t epoch,
-                                 std::vector<Session>& out) const {
-  out.reserve(out.size() + size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(row(i, epoch));
-}
-
 SessionColumns SessionColumns::from_sessions(std::span<const Session> sessions,
                                              std::uint32_t epoch) {
   SessionColumns columns;
@@ -66,7 +60,9 @@ SessionColumns SessionColumns::from_sessions(std::span<const Session> sessions,
   for (const Session& s : sessions) {
     if (s.epoch != epoch) {
       throw std::invalid_argument{
-          "SessionColumns::from_sessions: session epoch mismatch"};
+          "SessionColumns::from_sessions: session epoch " +
+          std::to_string(s.epoch) + " does not match epoch " +
+          std::to_string(epoch)};
     }
     columns.push_back(s);
   }
@@ -158,8 +154,8 @@ void threshold_block_simd(const SessionColumns& c, std::size_t base,
 #endif
 }
 
-/// One range check per column (the row-wise path branches per session per
-/// dimension inside ClusterKey::pack).  Throws the same message pack does.
+/// One range check per column instead of ClusterKey::pack's branch per
+/// session per dimension.  Throws the same message pack does.
 void validate_attr_columns(const SessionColumns& c) {
   for (int d = 0; d < kNumDims; ++d) {
     const auto dim = static_cast<AttrDim>(d);
@@ -279,9 +275,8 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
       threshold_block_simd(columns, base, len, thresholds, bits.data());
       pack_block_simd(columns, base, len, keys.data());
     }
-    // The fold itself is the row-wise loop's arithmetic verbatim: same
-    // insertion order, same uint32 adds, so the resulting LeafFold is
-    // identical to fold_sessions over the same rows.
+    // Sessions bump their leaves in batch order, so leaf insertion order
+    // (and with it the fold) depends only on the input, not the kernel.
     for (std::size_t i = 0; i < len; ++i) {
       ClusterStats& leaf = fold.leaves[keys[i]];
       const std::uint8_t b = bits[i];
@@ -295,6 +290,11 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
     }
   }
   return fold;
+}
+
+bool TableColumnsSource::read_epoch(std::uint32_t e, SessionColumns& out) {
+  out = SessionColumns::from_sessions(table_.epoch(e), e);
+  return std::binary_search(degraded_.begin(), degraded_.end(), e);
 }
 
 std::string_view batch_kernel_name() noexcept {

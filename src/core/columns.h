@@ -1,12 +1,10 @@
 // Structure-of-arrays session batches and the vectorized fold kernels.
 //
-// The row-wise hot loop (fold_sessions in cluster_engine.h) walks an array
-// of Session structs: every session costs a strided 40-byte record touch, a
-// branchy ClusterKey::pack call, and four scalar threshold compares.  At
-// paper scale (~300M sessions) that layout is the wall: the out-of-core
-// columnar trace format (gen/columnar.h) already stores each epoch as seven
-// u16 attribute columns plus four metric columns, so the aggregation can
-// consume them directly:
+// SessionColumns is the per-epoch engine's only session input.  The
+// columnar trace format (gen/columnar.h) stores each epoch as seven u16
+// attribute columns plus four metric columns, which the fold consumes
+// directly; row inputs (a loaded SessionTable, rows off the serve queue)
+// are converted first.
 //
 //   * problem_bits_columns — the per-metric threshold compares run over the
 //     metric columns in SIMD batches (SSE2/AVX2 float compares; the scalar
@@ -19,21 +17,24 @@
 //     max-scan per dimension instead of one branch per session per
 //     dimension).
 //   * fold_sessions_columns — pass 1 of the leaf-folded aggregation over a
-//     SessionColumns batch.  Produces a LeafFold identical to
-//     fold_sessions over the same sessions in the same order (enforced by
-//     tests/test_columns_fold.cpp at every workers x shards combination).
+//     SessionColumns batch, and the only per-session fold loop: the row
+//     form fold_sessions (cluster_engine.h) converts and calls it.
+//     tests/test_columns_fold.cpp checks it against the naive oracle
+//     (tests/oracle.h) with both kernels across block boundaries.
 //
 // SessionColumns is also the unit of streaming: EpochColumnsSource is the
 // abstract one-epoch-at-a-time feed run_pipeline_streaming (pipeline.h)
 // consumes, letting `analyze` run at O(one epoch) memory over traces that
 // never fit in RAM.  gen/columnar.h implements it over the on-disk format;
-// tests implement it over in-memory tables.
+// TableColumnsSource below implements it over an in-memory SessionTable.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/attributes.h"
@@ -69,16 +70,11 @@ struct SessionColumns {
 
   void push_back(const Session& s);
 
-  /// Row view of element i (for tests and row-at-a-time consumers).
+  /// Row view of element i (materialising a columnar trace into rows).
   [[nodiscard]] Session row(std::size_t i, std::uint32_t epoch) const;
 
-  /// Appends the batch as Session rows carrying `epoch` (the streaming
-  /// monitor's per-epoch materialisation).
-  void append_rows(std::uint32_t epoch, std::vector<Session>& out) const;
-
   /// Builds the batch from row-wise sessions. Every session must carry
-  /// `epoch`; throws std::invalid_argument otherwise (mirroring
-  /// fold_sessions' epoch check).
+  /// `epoch`; throws std::invalid_argument otherwise.
   static SessionColumns from_sessions(std::span<const Session> sessions,
                                       std::uint32_t epoch);
 };
@@ -94,17 +90,16 @@ void problem_bits_columns(const SessionColumns& columns,
 /// Full-arity leaf key per element: out[i] ==
 /// ClusterKey::pack(kFullMask, row i attrs).raw().  Value ids must fit
 /// their field widths; throws std::out_of_range naming the offending
-/// dimension otherwise (checked per column, so the *dimension* reported for
-/// multi-error batches may differ from the row-wise path's first-session
-/// order — both always throw).  `out.size()` must equal `columns.size()`.
+/// dimension otherwise (checked column by column, so a batch with several
+/// bad values reports the lowest offending dimension, not the first bad
+/// row's).  `out.size()` must equal `columns.size()`.
 void pack_leaf_keys_columns(const SessionColumns& columns,
                             std::span<std::uint64_t> out,
                             BatchKernel kernel = BatchKernel::kAuto);
 
-/// Pass-1 leaf fold over a column batch; identical to
-/// fold_sessions(rows, thresholds, epoch) over the same sessions in the
-/// same order.  The two hot kernels above run over fixed-size blocks so
-/// scratch stays cache-resident regardless of epoch size.
+/// Pass-1 leaf fold over a column batch, identical for both kernels.  The
+/// two hot kernels above run over fixed-size blocks so scratch stays
+/// cache-resident regardless of epoch size.
 [[nodiscard]] LeafFold fold_sessions_columns(
     const SessionColumns& columns, const ProblemThresholds& thresholds,
     std::uint32_t epoch, BatchKernel kernel = BatchKernel::kAuto);
@@ -115,8 +110,8 @@ void pack_leaf_keys_columns(const SessionColumns& columns,
 
 /// Abstract one-epoch-at-a-time session feed, the streaming counterpart of
 /// SessionTable.  Implementations: gen/columnar.h's ColumnarReader (reads
-/// one column chunk per call at O(one epoch) memory) and in-memory test
-/// doubles.  Epochs with no sessions yield an empty batch.
+/// one column chunk per call at O(one epoch) memory) and TableColumnsSource
+/// below.  Epochs with no sessions yield an empty batch.
 class EpochColumnsSource {
  public:
   virtual ~EpochColumnsSource() = default;
@@ -131,6 +126,25 @@ class EpochColumnsSource {
   /// IngestReport::degraded_epochs annotation of the in-RAM readers.
   /// Throws on unrecoverable input errors (strict-policy readers).
   virtual bool read_epoch(std::uint32_t e, SessionColumns& out) = 0;
+};
+
+/// EpochColumnsSource over an in-memory SessionTable: read_epoch converts
+/// one epoch's rows to columns and reports the epochs listed in `degraded`
+/// (sorted ascending, e.g. IngestReport::degraded_epochs) as degraded.
+class TableColumnsSource final : public EpochColumnsSource {
+ public:
+  explicit TableColumnsSource(const SessionTable& table,
+                              std::vector<std::uint32_t> degraded = {})
+      : table_{table}, degraded_{std::move(degraded)} {}
+
+  [[nodiscard]] std::uint32_t num_epochs() const override {
+    return table_.num_epochs();
+  }
+  bool read_epoch(std::uint32_t e, SessionColumns& out) override;
+
+ private:
+  const SessionTable& table_;
+  std::vector<std::uint32_t> degraded_;
 };
 
 }  // namespace vq

@@ -59,7 +59,7 @@ std::string_view incident_update_name(IncidentUpdate u) noexcept {
 }
 
 std::vector<IncidentEvent> StreamingDetector::ingest(
-    std::span<const Session> sessions, std::uint32_t epoch,
+    const SessionColumns& columns, std::uint32_t epoch,
     EpochDataQuality quality) {
   VQ_SPAN_EPOCH("monitor.ingest", epoch);
   MonitorMetrics& metrics = MonitorMetrics::get();
@@ -87,8 +87,8 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
 
   ThreadPool* pool_ptr = pool_ ? &*pool_ : nullptr;
   const EpochAnalyses analyses = analyze_epoch(
-      fold_sessions(sessions, config_.thresholds, epoch), config_.engine,
-      config_.cluster_params, pool_ptr,
+      fold_sessions_columns(columns, config_.thresholds, epoch),
+      config_.engine, config_.cluster_params, pool_ptr,
       std::max<std::uint32_t>(1, config_.shards));
 
   std::vector<IncidentEvent> events;
@@ -286,6 +286,7 @@ std::uint64_t StreamingDetector::config_fingerprint(
   fnv_mix(h, std::bit_cast<std::uint64_t>(
                  config.cluster_params.ratio_multiplier));
   fnv_mix(h, config.cluster_params.min_sessions);
+  fnv_mix(h, static_cast<std::uint64_t>(config.engine.max_arity));
   fnv_mix(h, config.escalate_after);
   fnv_mix(h, static_cast<std::uint64_t>(config.order_policy));
   return h;

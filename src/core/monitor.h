@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "src/core/cluster_engine.h"
+#include "src/core/columns.h"
 #include "src/core/critical_cluster.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
@@ -143,10 +144,20 @@ class StreamingDetector {
   /// suppressed: open incidents that fail to recur stay open with their
   /// streak frozen. Returns the lifecycle events raised by this epoch, in
   /// (metric, key) order.
-  std::vector<IncidentEvent> ingest(std::span<const Session> sessions,
+  std::vector<IncidentEvent> ingest(const SessionColumns& columns,
                                     std::uint32_t epoch,
                                     EpochDataQuality quality = {})
       VQ_EXCLUDES(mutex_);
+
+  /// Row form: SessionColumns::from_sessions (every session must carry
+  /// `epoch`, else std::invalid_argument), then the columns form.
+  std::vector<IncidentEvent> ingest(std::span<const Session> sessions,
+                                    std::uint32_t epoch,
+                                    EpochDataQuality quality = {})
+      VQ_EXCLUDES(mutex_) {
+    return ingest(SessionColumns::from_sessions(sessions, epoch), epoch,
+                  quality);
+  }
 
   /// Currently open incidents for a metric, sorted by key.
   [[nodiscard]] std::vector<Incident> active(Metric metric) const
@@ -221,11 +232,10 @@ class StreamingDetector {
       VQ_EXCLUDES(mutex_);
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
-  /// params, escalate_after, order policy). The engine config and the
-  /// workers/shards knobs are excluded.  Every kernel and shard count yields
-  /// bit-identical analyses (differential-tested), so those may differ
-  /// across a save/restore; engine.max_arity does change results and is not
-  /// checked either, so a resume must keep the saved run's cap.
+  /// params, engine.max_arity, escalate_after, order policy).
+  /// engine.expand_kernel and the workers/shards knobs are excluded: every
+  /// kernel and shard count yields bit-identical analyses
+  /// (differential-tested), so those may differ across a save/restore.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 

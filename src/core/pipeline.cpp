@@ -113,19 +113,12 @@ std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
 PipelineResult run_pipeline(const SessionTable& table,
                             const PipelineConfig& config,
                             std::span<const std::uint32_t> degraded) {
-  PipelineResult result = run_pipeline(table, config);
-  result.degraded_epochs.assign(degraded.begin(), degraded.end());
-  if (!std::is_sorted(result.degraded_epochs.begin(),
-                      result.degraded_epochs.end())) {
+  if (!std::is_sorted(degraded.begin(), degraded.end())) {
     throw std::invalid_argument{
         "run_pipeline: degraded epochs must be sorted ascending"};
   }
-  return result;
-}
-
-PipelineResult run_pipeline(const SessionTable& table,
-                            const PipelineConfig& config) {
   PipelineRun run{config, table.num_epochs()};
+  run.result.degraded_epochs.assign(degraded.begin(), degraded.end());
   const std::size_t shards =
       resolve_shards(config, run.workers(), table.num_epochs());
 

@@ -100,24 +100,22 @@ struct PipelineResult {
   [[nodiscard]] MetricAggregates aggregates(Metric m) const;
 };
 
-[[nodiscard]] PipelineResult run_pipeline(const SessionTable& table,
-                                          const PipelineConfig& config);
-
-/// As above, carrying the ingest layer's degraded-epoch annotation through
-/// to the result (`degraded` must be sorted ascending).
+/// `degraded` (sorted ascending, else std::invalid_argument) carries the
+/// ingest layer's degraded-epoch annotation through to the result.
 [[nodiscard]] PipelineResult run_pipeline(
     const SessionTable& table, const PipelineConfig& config,
-    std::span<const std::uint32_t> degraded);
+    std::span<const std::uint32_t> degraded = {});
 
-/// Out-of-core variant: pulls epochs one at a time from `source` (e.g. a
-/// gen/columnar.h ColumnarReader) into one reused SessionColumns buffer, so
-/// peak memory is O(largest epoch) instead of O(whole trace).  Epochs run
-/// sequentially; `config.workers` parallelism is applied *within* each
-/// epoch via lattice-expansion sharding (shards = workers when
-/// config.shards is 0).  The result is identical to run_pipeline over the
-/// same sessions — the column-batch fold is bit-identical to the row-wise
-/// fold, and shard count never affects results.  Epochs whose read_epoch
-/// reported damage land in PipelineResult::degraded_epochs.  The
+/// Out-of-core variant: pulls epochs one at a time from `source` (a
+/// gen/columnar.h ColumnarReader, or a TableColumnsSource) into one reused
+/// SessionColumns buffer, so peak memory is O(largest epoch) instead of
+/// O(whole trace).  Epochs run sequentially; `config.workers` parallelism
+/// is applied *within* each epoch via lattice-expansion sharding (shards =
+/// workers when config.shards is 0).  The result is identical to
+/// run_pipeline over the same sessions — both fold with
+/// fold_sessions_columns (run_pipeline converts each epoch's rows first),
+/// and shard count never affects results.  Epochs whose read_epoch reported
+/// damage land in PipelineResult::degraded_epochs.  The
 /// pipeline.stream_epoch_sessions_max gauge records the largest batch held,
 /// making the memory claim observable.
 [[nodiscard]] PipelineResult run_pipeline_streaming(

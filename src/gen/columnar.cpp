@@ -645,7 +645,9 @@ RobustLoadedTrace materialize(ColumnarReader& reader) {
   SessionColumns columns;
   for (std::uint32_t e = 0; e < reader.num_epochs(); ++e) {
     reader.read_epoch(e, columns);
-    columns.append_rows(e, sessions);
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      sessions.push_back(columns.row(i, e));
+    }
   }
   out.report = reader.report();
   publish_ingest_metrics(out.report);

@@ -104,7 +104,7 @@ struct Server::Impl {
   mutable Mutex schema_mutex;
 
   // Detector thread only.
-  std::map<std::uint32_t, std::vector<Session>> pending;
+  std::map<std::uint32_t, SessionColumns> pending;
   std::uint32_t next_seal = 0;
 
   /// Stats row for a connection id (ids are dense from 1, in accept order).
@@ -679,9 +679,9 @@ constexpr std::chrono::milliseconds kDetectorPollInterval{50};
 
 void Server::detector_loop() {
   const auto seal_epoch = [&](std::uint32_t e) {
-    std::vector<Session> rows;
+    SessionColumns columns;
     if (const auto it = impl_->pending.find(e); it != impl_->pending.end()) {
-      rows = std::move(it->second);
+      columns = std::move(it->second);
       impl_->pending.erase(it);
     }
     EpochDataQuality quality;
@@ -691,7 +691,7 @@ void Server::detector_loop() {
       quality.degraded = it != impl_->epoch_quarantine.end() && it->second > 0;
     }
     const std::vector<IncidentEvent> events =
-        detector_.ingest(rows, e, quality);
+        detector_.ingest(columns, e, quality);
     if (callback_) {
       const MutexLock lock{impl_->schema_mutex};
       for (const IncidentEvent& ev : events) {
@@ -714,14 +714,14 @@ void Server::detector_loop() {
   const auto absorb = [&](std::vector<Impl::Batch> batches) {
     for (Impl::Batch& batch : batches) {
       std::uint64_t stale = 0;
-      for (Session& s : batch.rows) {
+      for (const Session& s : batch.rows) {
         if (s.epoch < impl_->next_seal) {
           // Sealed while queued: the row was admitted by the IO thread but
           // arrives late here; move it (exactly) admitted -> stale.
           stale += 1;
           continue;
         }
-        impl_->pending[s.epoch].push_back(std::move(s));
+        impl_->pending[s.epoch].push_back(s);
       }
       if (stale > 0) {
         const MutexLock lock{impl_->stats_mutex};

@@ -4,9 +4,10 @@
 // accepts producers, reads bytes, runs the frame decoder, validates rows
 // through the robust_io ErrorPolicy matrix, and pushes admitted rows into a
 // bounded queue (bounded_queue.h).  The detector loop runs on the caller's
-// thread (Server::run()): it drains the queue, buffers rows per epoch,
-// seals epochs behind the producer watermark, and feeds each sealed epoch
-// to the StreamingDetector exactly as the file-driven CLI does — so the
+// thread (Server::run()): it drains the queue, appends rows to one
+// SessionColumns batch per epoch, seals epochs behind the producer
+// watermark, and feeds each sealed batch to the StreamingDetector exactly
+// as the file-driven CLI does — so the
 // incident stream is a pure function of the admitted rows per epoch, and a
 // differential test can diff file-path and socket-path reports
 // byte-for-byte.

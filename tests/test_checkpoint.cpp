@@ -12,7 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/columns.h"
 #include "src/core/monitor.h"
+#include "src/gen/columnar.h"
+#include "src/gen/tracegen.h"
 #include "src/util/fsync.h"
 #include "tests/test_support.h"
 
@@ -103,6 +106,41 @@ TEST(Checkpoint, ResumeReproducesIdenticalEventSequence) {
     EXPECT_EQ(resumed.total_opened(Metric::kBufRatio),
               uninterrupted.total_opened(Metric::kBufRatio));
   }
+}
+
+TEST(Checkpoint, RowAndColumnarIngestMatchByteForByte) {
+  // One detector ingests Session rows, the other the SessionColumns a
+  // ColumnarReader decodes from a .vqtc copy of them.  With degraded and
+  // stale epochs in the feed, events and checkpoint bytes must match.
+  SessionTable table;
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    for (const Session& s : monitored_epoch(e, kScript[e])) table.append(s);
+  }
+  table.finalize();
+  std::stringstream vqtc{std::ios::in | std::ios::out | std::ios::binary};
+  write_trace_columnar(vqtc, table, World::build({}).schema());
+  ColumnarReader reader{vqtc};
+
+  MonitorConfig config = small_monitor();
+  config.order_policy = EpochOrderPolicy::kSkipStale;
+  StreamingDetector rows{config};
+  StreamingDetector columnar{config};
+  SessionColumns columns;
+  for (const std::uint32_t e : {0u, 1u, 2u, 3u, 4u, 3u, 5u, 6u, 7u}) {
+    const EpochDataQuality quality{.degraded = e == 2 || e == 5};
+    (void)reader.read_epoch(e, columns);
+    EXPECT_EQ(fmt(columnar.ingest(columns, e, quality)),
+              fmt(rows.ingest(table.epoch(e), e, quality)))
+        << e;
+  }
+  EXPECT_GT(rows.total_opened(Metric::kBufRatio), 0u);
+  EXPECT_EQ(rows.stale_epochs_dropped(), 1u);  // the second epoch 3
+  EXPECT_GT(rows.suppressed_clears(), 0u);
+  std::ostringstream rows_bytes{std::ios::binary};
+  std::ostringstream columnar_bytes{std::ios::binary};
+  rows.save_checkpoint(rows_bytes);
+  columnar.save_checkpoint(columnar_bytes);
+  EXPECT_EQ(rows_bytes.str(), columnar_bytes.str());
 }
 
 TEST(Checkpoint, RoundTripsCountersAndIncidentFields) {
@@ -222,18 +260,24 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
   sessions.cluster_params.min_sessions = 51;
   MonitorConfig policy = base;
   policy.order_policy = EpochOrderPolicy::kSkipStale;
-  for (const MonitorConfig& changed : {delay, sessions, policy}) {
+  MonitorConfig arity = base;
+  arity.engine.max_arity = 3;
+  for (const MonitorConfig& changed : {delay, sessions, policy, arity}) {
     EXPECT_NE(StreamingDetector::config_fingerprint(base),
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // Parallelism is differential-tested bit-identical, so it may
-  // legitimately change across a save/restore.
+  // Parallelism and the expand kernel are differential-tested
+  // bit-identical, so they may legitimately change across a save/restore.
   MonitorConfig parallel = base;
   parallel.workers = 4;
   parallel.shards = 4;
-  EXPECT_EQ(StreamingDetector::config_fingerprint(base),
-            StreamingDetector::config_fingerprint(parallel));
+  MonitorConfig scalar = base;
+  scalar.engine.expand_kernel = BatchKernel::kScalar;
+  for (const MonitorConfig& same : {parallel, scalar}) {
+    EXPECT_EQ(StreamingDetector::config_fingerprint(base),
+              StreamingDetector::config_fingerprint(same));
+  }
 }
 
 TEST(Checkpoint, V2RoundTripsStreakRegistry) {

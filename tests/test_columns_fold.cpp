@@ -1,9 +1,8 @@
-// Differential tests for the vectorized column-batch kernels
-// (core/columns.h): on the same sessions, problem_bits_columns /
-// pack_leaf_keys_columns / fold_sessions_columns must reproduce the
-// row-wise path bit for bit, with both the kAuto (SIMD) and kScalar
-// kernels — and run_pipeline_streaming must match run_pipeline at every
-// workers x shards combination.
+// Tests for the vectorized column-batch kernels (core/columns.h):
+// problem_bits_columns / pack_leaf_keys_columns / fold_sessions_columns
+// must reproduce the naive oracle (tests/oracle.h) bit for bit, with both
+// the kAuto (SIMD) and kScalar kernels — and run_pipeline_streaming must
+// match run_pipeline at every workers x shards combination.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +17,7 @@
 #include "src/core/columns.h"
 #include "src/core/pipeline.h"
 #include "src/gen/tracegen.h"
+#include "tests/oracle.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -42,15 +42,43 @@ SessionTable medium_trace(std::uint32_t epochs = 3,
   return generate_trace(world, events, trace_config);
 }
 
-void expect_folds_identical(const LeafFold& expected, const LeafFold& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.leaves.size(), actual.leaves.size());
+/// Threshold-exact, nextafter, NaN, infinity, and join-failure metrics at
+/// the default thresholds: the SIMD ordered compares must agree with the
+/// scalar float compares on every one.
+std::vector<QualityMetrics> edge_qualities() {
+  const ProblemThresholds thresholds;
+  const float at_buf = static_cast<float>(thresholds.max_buffering_ratio);
+  const float at_bitrate = static_cast<float>(thresholds.min_bitrate_kbps);
+  const float at_join = static_cast<float>(thresholds.max_join_time_ms);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  return {
+      {at_buf, at_bitrate, at_join, false},          // exactly at: not problems
+      {std::nextafter(at_buf, 1.0F), at_bitrate, at_join, false},
+      {at_buf, std::nextafter(at_bitrate, 0.0F), at_join, false},
+      {at_buf, at_bitrate, std::nextafter(at_join, 1e9F), false},
+      {nan, nan, nan, false},                        // NaN compares false
+      {inf, -inf, inf, false},
+      {0.5F, 100.0F, 90'000.0F, true},               // join failure dominates
+      {nan, inf, -inf, true},
+      {-0.0F, 0.0F, -1.0F, false},
+  };
+}
+
+/// The fold must equal the oracle's session-by-session leaves and root
+/// (arity 1 keeps the oracle's cell map small; leaves ignore the cap).
+void expect_fold_matches_oracle(std::span<const Session> sessions,
+                                const ProblemThresholds& thresholds,
+                                std::uint32_t epoch, const LeafFold& fold) {
+  const oracle::Lattice want = oracle::lattice(sessions, thresholds, epoch, 1);
+  EXPECT_EQ(fold.epoch, epoch);
+  EXPECT_EQ(fold.root, want.root);
+  ASSERT_EQ(fold.leaves.size(), want.leaves.size());
   std::size_t mismatches = 0;
-  expected.leaves.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    const ClusterStats* other = actual.leaves.find(raw);
-    if (other == nullptr || !(stats == *other)) ++mismatches;
-  });
+  for (const auto& [raw, stats] : want.leaves) {
+    const ClusterStats* got = fold.leaves.find(raw);
+    if (got == nullptr || !(*got == stats)) ++mismatches;
+  }
   EXPECT_EQ(mismatches, 0u);
 }
 
@@ -64,13 +92,6 @@ TEST(ColumnsBatch, RoundTripsRowsExactly) {
     EXPECT_EQ(round.attrs, sessions[i].attrs);
     EXPECT_EQ(round.quality, sessions[i].quality);
     EXPECT_EQ(round.epoch, 1u);
-  }
-  std::vector<Session> rows;
-  columns.append_rows(1, rows);
-  ASSERT_EQ(rows.size(), sessions.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].attrs, sessions[i].attrs);
-    EXPECT_EQ(rows[i].quality, sessions[i].quality);
   }
 }
 
@@ -93,48 +114,34 @@ TEST(ColumnsBatch, ClearRetainsNothingButCapacity) {
   EXPECT_TRUE(columns.buffering_ratio.empty());
 }
 
-TEST(ColumnsBatch, ProblemBitsMatchRowWisePath) {
+TEST(ColumnsBatch, ProblemBitsMatchOracle) {
   const SessionTable trace = medium_trace(1, 20'000);
   const std::span<const Session> sessions = trace.epoch(0);
   const ProblemThresholds thresholds;
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
+  // The oracle's root over one session holds that session's problem bits.
+  std::vector<std::uint8_t> want(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const ClusterStats root =
+        oracle::lattice(sessions.subspan(i, 1), thresholds, 0, 1).root;
+    for (int m = 0; m < kNumMetrics; ++m) {
+      want[i] |= static_cast<std::uint8_t>(root.problems[m] << m);
+    }
+  }
   std::vector<std::uint8_t> bits(columns.size());
   for (const BatchKernel kernel : kBothKernels) {
     problem_bits_columns(columns, thresholds, bits, kernel);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      if (bits[i] != thresholds.problem_bits(sessions[i].quality)) {
-        ++mismatches;
-      }
-    }
-    EXPECT_EQ(mismatches, 0u) << batch_kernel_name();
+    EXPECT_EQ(bits, want) << batch_kernel_name();
   }
 }
 
 TEST(ColumnsBatch, ProblemBitsEdgeValuesMatchScalar) {
-  // Threshold-exact, NaN, infinity, and join-failure rows: the SIMD ordered
-  // compares must agree with the scalar float compares on every one.  Rows
-  // are repeated past one SIMD block so full vector lanes hit the edges too.
+  // Rows are repeated past one SIMD block so full vector lanes hit the
+  // edges too.
   const ProblemThresholds thresholds;
-  const float at_buf = static_cast<float>(thresholds.max_buffering_ratio);
-  const float at_bitrate = static_cast<float>(thresholds.min_bitrate_kbps);
-  const float at_join = static_cast<float>(thresholds.max_join_time_ms);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float inf = std::numeric_limits<float>::infinity();
-  const QualityMetrics edge_cases[] = {
-      {at_buf, at_bitrate, at_join, false},          // exactly at: not problems
-      {std::nextafter(at_buf, 1.0F), at_bitrate, at_join, false},
-      {at_buf, std::nextafter(at_bitrate, 0.0F), at_join, false},
-      {at_buf, at_bitrate, std::nextafter(at_join, 1e9F), false},
-      {nan, nan, nan, false},                        // NaN compares false
-      {inf, -inf, inf, false},
-      {0.5F, 100.0F, 90'000.0F, true},               // join failure dominates
-      {nan, inf, -inf, true},
-      {-0.0F, 0.0F, -1.0F, false},
-  };
   std::vector<Session> sessions;
   for (int rep = 0; rep < 13; ++rep) {
-    for (const QualityMetrics& q : edge_cases) {
+    for (const QualityMetrics& q : edge_qualities()) {
       sessions.push_back(test::make_session(0, test::Attrs{}, q));
     }
   }
@@ -190,24 +197,28 @@ TEST(ColumnsBatch, KernelEntryPointsRejectMisSizedSpans) {
   EXPECT_THROW(pack_leaf_keys_columns(columns, keys), std::invalid_argument);
 }
 
-TEST(ColumnsFold, MatchesRowWiseFoldOnGeneratedTrace) {
+TEST(ColumnsFold, MatchesOracleOnGeneratedTrace) {
   const SessionTable trace = medium_trace();
   const ProblemThresholds thresholds;
   for (std::uint32_t e = 0; e < trace.num_epochs(); ++e) {
     const std::span<const Session> sessions = trace.epoch(e);
-    const LeafFold expected = fold_sessions(sessions, thresholds, e);
     const SessionColumns columns = SessionColumns::from_sessions(sessions, e);
     for (const BatchKernel kernel : kBothKernels) {
-      expect_folds_identical(
-          expected, fold_sessions_columns(columns, thresholds, e, kernel));
+      expect_fold_matches_oracle(
+          sessions, thresholds, e,
+          fold_sessions_columns(columns, thresholds, e, kernel));
     }
+    expect_fold_matches_oracle(sessions, thresholds, e,
+                               fold_sessions(sessions, thresholds, e));
   }
 }
 
-TEST(ColumnsFold, MatchesRowWiseFoldAcrossBlockBoundaries) {
+TEST(ColumnsFold, MatchesOracleAcrossBlockBoundaries) {
   // The column fold runs in fixed-size blocks; sweep sizes around likely
   // block boundaries (powers of two +/- 1) so partial final blocks and
-  // exact multiples are both covered.
+  // exact multiples are both covered.  Every 61st session carries an
+  // edge_qualities() metric, so SIMD lanes and scalar tails both meet the
+  // compare edges inside the fold.
   const ProblemThresholds thresholds;
   WorldConfig world_config;
   world_config.num_sites = 14;
@@ -218,17 +229,21 @@ TEST(ColumnsFold, MatchesRowWiseFoldAcrossBlockBoundaries) {
   trace_config.diurnal_amplitude = 0.0;  // epoch 0 gets the full 5k
   const SessionTable trace =
       generate_trace(world, EventSchedule::none(1), trace_config);
-  const std::span<const Session> all = trace.epoch(0);
+  const std::vector<QualityMetrics> edges = edge_qualities();
+  std::vector<Session> all{trace.epoch(0).begin(), trace.epoch(0).end()};
+  for (std::size_t i = 0; i < all.size(); i += 61) {
+    all[i].quality = edges[(i / 61) % edges.size()];
+  }
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{7}, std::size_t{2047}, std::size_t{2048},
         std::size_t{2049}, std::size_t{4096}, std::size_t{4101}}) {
     ASSERT_LE(n, all.size());
-    const std::span<const Session> sessions = all.subspan(0, n);
-    const LeafFold expected = fold_sessions(sessions, thresholds, 0);
+    const std::span<const Session> sessions{all.data(), n};
     const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
     for (const BatchKernel kernel : kBothKernels) {
-      expect_folds_identical(
-          expected, fold_sessions_columns(columns, thresholds, 0, kernel));
+      expect_fold_matches_oracle(
+          sessions, thresholds, 0,
+          fold_sessions_columns(columns, thresholds, 0, kernel));
     }
   }
 }
@@ -245,26 +260,6 @@ TEST(ColumnsFold, BatchKernelNameIsKnown) {
   const std::string_view name = batch_kernel_name();
   EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "scalar") << name;
 }
-
-/// In-memory EpochColumnsSource over a SessionTable: the test double the
-/// streaming pipeline differential runs against.
-class TableColumnsSource : public EpochColumnsSource {
- public:
-  explicit TableColumnsSource(const SessionTable& table) : table_(table) {}
-
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
 
 TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   const SessionTable trace = medium_trace(3, 4'000);
@@ -305,21 +300,8 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
 }
 
 TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
-  /// Source that flags one epoch as degraded.
-  class DegradedSource final : public TableColumnsSource {
-   public:
-    DegradedSource(const SessionTable& table, std::uint32_t degraded)
-        : TableColumnsSource(table), degraded_(degraded) {}
-    bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-      (void)TableColumnsSource::read_epoch(e, out);
-      return e == degraded_;
-    }
-
-   private:
-    std::uint32_t degraded_;
-  };
   const SessionTable trace = medium_trace(3, 300);
-  DegradedSource source{trace, 1};
+  TableColumnsSource source{trace, {1}};
   const PipelineResult result = run_pipeline_streaming(source, {});
   EXPECT_EQ(result.degraded_epochs, (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(result.is_degraded(0));

@@ -124,18 +124,13 @@ TEST(SketchSpaceSaving, RejectsZeroCapacity) {
 
 // --- admission ---------------------------------------------------------------
 
-SessionColumns columns_of(const std::vector<Session>& sessions,
-                          std::uint32_t epoch) {
-  return SessionColumns::from_sessions(sessions, epoch);
-}
-
 TEST(SketchAdmissionFold, UnlimitedBudgetIsTheExactFold) {
   std::vector<Session> sessions;
   test::add_sessions(sessions, 0, Attrs{.site = 1, .cdn = 1},
                      test::bad_buffering(), 40);
   test::add_sessions(sessions, 0, Attrs{.site = 2, .cdn = 1},
                      test::good_quality(), 60);
-  const SessionColumns columns = columns_of(sessions, 0);
+  const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
   const ProblemThresholds thresholds;
 
   SketchAdmission admission{SketchAdmissionParams{.max_cells = 0}};
@@ -171,7 +166,7 @@ TEST(SketchAdmissionFold, RootIsExactAndAdmittedLeavesCarryExactStats) {
                              .asn = static_cast<std::uint16_t>(100 + i)},
                        test::good_quality(), 1);
   }
-  const SessionColumns columns = columns_of(sessions, 7);
+  const SessionColumns columns = SessionColumns::from_sessions(sessions, 7);
   const ProblemThresholds thresholds;
   const LeafFold exact = fold_sessions_columns(columns, thresholds, 7);
 
@@ -205,23 +200,6 @@ TEST(SketchAdmissionFold, RootIsExactAndAdmittedLeavesCarryExactStats) {
 }
 
 // --- planted-event recall/precision differential -----------------------------
-
-/// In-memory EpochColumnsSource over a SessionTable (streaming test double).
-class TableColumnsSource final : public EpochColumnsSource {
- public:
-  explicit TableColumnsSource(const SessionTable& table) : table_(table) {}
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
 
 SessionTable planted_trace(std::uint32_t num_epochs) {
   WorldConfig world_config;

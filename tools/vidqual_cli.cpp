@@ -41,6 +41,10 @@
 #include "src/serve/server.h"
 #include "src/util/args.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace {
 
 using namespace vq;
@@ -363,29 +367,6 @@ int cmd_convert(const ArgParser& args) {
   return 0;
 }
 
-/// In-memory EpochColumnsSource over a loaded SessionTable, so the
-/// streaming-only --max-cells mode also applies to csv/binary inputs.
-class TableColumnsSource final : public EpochColumnsSource {
- public:
-  TableColumnsSource(const SessionTable& table,
-                     std::vector<std::uint32_t> degraded)
-      : table_{table}, degraded_{std::move(degraded)} {}
-
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return std::binary_search(degraded_.begin(), degraded_.end(), e);
-  }
-
- private:
-  const SessionTable& table_;
-  std::vector<std::uint32_t> degraded_;
-};
-
 int cmd_analyze(const ArgParser& args) {
   if (!known_options_only(args, "analyze",
                           {"in", "min-sessions", "top", "on-error", "workers",
@@ -415,12 +396,12 @@ int cmd_analyze(const ArgParser& args) {
     };
   }
   // fold_provider is streaming-only (pipeline.h); non-columnar inputs go
-  // through the in-memory adapter above when it is set.
+  // through TableColumnsSource (columns.h) when it is set.
   const bool force_streaming = max_cells > 0;
 
   // Columnar inputs stream epoch-by-epoch (O(one epoch) memory); the other
   // formats materialize.  Both paths produce identical reports on the same
-  // sessions — the streaming fold is bit-identical to the row-wise one.
+  // sessions — both fold with fold_sessions_columns.
   PipelineResult result;
   AttributeSchema schema;
   if (format_for_path(*in) == TraceFormat::kColumnar) {
@@ -562,6 +543,17 @@ int cmd_whatif(const ArgParser& args) {
 /// detector, same checkpoint container, same incident print format — the
 /// only difference is where the rows come from, which is what the
 /// file-vs-socket differential test pins.
+/// Every sealed epoch allocates and frees several MB; under glibc's dynamic
+/// mmap/trim thresholds the server returns it to the kernel and faults it
+/// back each epoch (0.8 s of system time on 240 x 4K-session epochs, 0.04 s
+/// with fixed thresholds).
+void keep_epoch_memory_in_heap() {
+#if defined(__GLIBC__)
+  (void)mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  (void)mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+}
+
 int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   if (!known_options_only(
           args, "monitor --serve",
@@ -574,6 +566,7 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   const auto policy = on_error_policy(args);
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);
+  keep_epoch_memory_in_heap();
 
   MonitorConfig config;
   // No trace to auto-derive from on a live socket: --min-sessions or the
@@ -696,25 +689,27 @@ int cmd_monitor(const ArgParser& args) {
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);  // before ingest spans start
 
-  // Columnar inputs stream: one epoch's rows are materialized per detector
-  // ingest instead of the whole trace.
+  // Columnar inputs stream one epoch's columns per detector ingest; the
+  // other formats load the whole trace and feed it through the same
+  // one-epoch-at-a-time source interface.
   const bool streaming = format_for_path(*in) == TraceFormat::kColumnar;
   std::optional<ColumnarReader> reader;
   std::optional<RobustLoadedTrace> loaded;
-  std::vector<std::uint32_t> degraded;
-  std::uint32_t num_epochs = 0;
+  std::optional<TableColumnsSource> table_source;
+  EpochColumnsSource* source = nullptr;
   std::uint64_t total_sessions = 0;
   if (streaming) {
     reader.emplace(std::filesystem::path{std::string{*in}},
                    RobustReadOptions{.policy = *policy});
-    num_epochs = reader->num_epochs();
     total_sessions = reader->total_sessions();
+    source = &*reader;
   } else {
     loaded.emplace(load_robust(*in, *policy));
-    degraded = loaded->report.degraded_epochs();
-    num_epochs = loaded->table.num_epochs();
     total_sessions = loaded->table.size();
+    source = &table_source.emplace(loaded->table,
+                                   loaded->report.degraded_epochs());
   }
+  const std::uint32_t num_epochs = source->num_epochs();
   const AttributeSchema& schema = streaming ? reader->schema()
                                             : loaded->schema;
 
@@ -752,23 +747,11 @@ int cmd_monitor(const ArgParser& args) {
   install_drain_handlers();
 
   std::uint64_t processed = 0;
-  SessionColumns columns;  // streaming scratch, reused across epochs
-  std::vector<Session> rows;
+  SessionColumns columns;  // reused across epochs
   for (std::uint32_t e = start; e < num_epochs; ++e) {
-    bool degraded_epoch = false;
-    std::span<const Session> sessions;
-    if (streaming) {
-      degraded_epoch = reader->read_epoch(e, columns);
-      rows.clear();
-      columns.append_rows(e, rows);
-      sessions = rows;
-    } else {
-      degraded_epoch =
-          std::binary_search(degraded.begin(), degraded.end(), e);
-      sessions = loaded->table.epoch(e);
-    }
-    const EpochDataQuality quality{.degraded = degraded_epoch};
-    for (const IncidentEvent& event : detector.ingest(sessions, e, quality)) {
+    const EpochDataQuality quality{.degraded =
+                                       source->read_epoch(e, columns)};
+    for (const IncidentEvent& event : detector.ingest(columns, e, quality)) {
       if (event.update == IncidentUpdate::kNew) continue;  // alert on action
       std::printf("%02u:00 %-9s %-11s %s (streak %u h, %.0f sessions)\n", e,
                   std::string(incident_update_name(event.update)).c_str(),
