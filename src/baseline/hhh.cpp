@@ -108,6 +108,10 @@ struct SketchMetrics {
   }
 };
 
+// SketchAdmission's count-min cross-check: width x depth counters.
+constexpr std::uint32_t kAdmissionCmWidth = 8192;
+constexpr std::uint32_t kAdmissionCmDepth = 4;
+
 }  // namespace
 
 CountMinSketch::CountMinSketch(std::uint32_t width, std::uint32_t depth)
@@ -235,7 +239,7 @@ SketchAdmission::SketchAdmission(const SketchAdmissionParams& params)
       heavy_{params.max_cells == 0
                  ? 1
                  : std::max<std::size_t>(1, params.max_cells / kFullMask)},
-      counts_{params.cm_width, params.cm_depth} {}
+      counts_{kAdmissionCmWidth, kAdmissionCmDepth} {}
 
 LeafFold SketchAdmission::fold(const SessionColumns& columns,
                                const ProblemThresholds& thresholds,

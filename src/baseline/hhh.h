@@ -117,8 +117,6 @@ struct SketchAdmissionParams {
   /// cells, so the admitted-leaf capacity is max(1, max_cells / 127).
   /// 0 = unlimited: fold() degrades to the exact fold_sessions_columns.
   std::size_t max_cells = 0;
-  std::uint32_t cm_width = 8192;
-  std::uint32_t cm_depth = 4;
 };
 
 struct SketchAdmissionReport {

@@ -293,7 +293,10 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
 }
 
 bool TableColumnsSource::read_epoch(std::uint32_t e, SessionColumns& out) {
-  out = SessionColumns::from_sessions(table_.epoch(e), e);
+  const std::span<const Session> rows = table_.epoch(e);
+  out.clear();  // keeps every column's capacity
+  out.reserve(rows.size());
+  for (const Session& s : rows) out.push_back(s);
   return std::binary_search(degraded_.begin(), degraded_.end(), e);
 }
 

@@ -129,8 +129,9 @@ class EpochColumnsSource {
 };
 
 /// EpochColumnsSource over an in-memory SessionTable: read_epoch converts
-/// one epoch's rows to columns and reports the epochs listed in `degraded`
-/// (sorted ascending, e.g. IngestReport::degraded_epochs) as degraded.
+/// one epoch's rows to columns in place (reusing `out`'s capacity) and
+/// reports the epochs listed in `degraded` (sorted ascending, e.g.
+/// IngestReport::degraded_epochs) as degraded.
 class TableColumnsSource final : public EpochColumnsSource {
  public:
   explicit TableColumnsSource(const SessionTable& table,

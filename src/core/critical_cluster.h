@@ -39,6 +39,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -135,5 +136,16 @@ using EpochAnalyses = std::array<CriticalAnalysis, kNumMetrics>;
                                           const ProblemClusterParams& params,
                                           ThreadPool* pool = nullptr,
                                           std::size_t shards = 1);
+
+/// The one shard rule: analyze_epoch's `shards` when `workers` threads run
+/// `concurrent_epochs` epochs at once, so epochs x shards cover the pool.
+/// run_pipeline passes its epoch count; run_pipeline_streaming and
+/// StreamingDetector pass 1 (shards = workers).  workers 0 counts as 1.
+[[nodiscard]] constexpr std::size_t epoch_shards(
+    std::size_t workers, std::size_t concurrent_epochs) noexcept {
+  const std::size_t w = std::max<std::size_t>(1, workers);
+  const std::size_t c = std::clamp<std::size_t>(concurrent_epochs, 1, w);
+  return (w + c - 1) / c;
+}
 
 }  // namespace vq

@@ -89,7 +89,7 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   const EpochAnalyses analyses = analyze_epoch(
       fold_sessions_columns(columns, config_.thresholds, epoch),
       config_.engine, config_.cluster_params, pool_ptr,
-      std::max<std::uint32_t>(1, config_.shards));
+      epoch_shards(config_.workers, 1));
 
   std::vector<IncidentEvent> events;
   for (const Metric metric : kAllMetrics) {

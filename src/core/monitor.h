@@ -71,14 +71,13 @@ struct MonitorConfig {
   /// escalates (the paper's reactive strategy uses 1).
   std::uint32_t escalate_after = 1;
   EpochOrderPolicy order_policy = EpochOrderPolicy::kThrow;
-  /// Detector-side parallelism for the per-epoch engine (the pool/shards
-  /// arguments of analyze_epoch).  workers <= 1 runs serial.  Excluded from
-  /// the checkpoint fingerprint: the parallel kernels are bit-identical to
-  /// the serial ones by construction, so any workers x shards setting
-  /// yields the same incident stream (differential-tested at
-  /// {1,4} x {1,4}) and may change across a save/restore.
+  /// Detector-side parallelism: the pool behind analyze_epoch, which
+  /// shards each epoch across all `workers` (epoch_shards with one epoch in
+  /// flight).  workers <= 1 runs serial.  Excluded from the checkpoint
+  /// fingerprint: the parallel kernels are bit-identical to the serial ones
+  /// by construction, so any workers setting yields the same incident
+  /// stream (differential-tested) and may change across a save/restore.
   std::uint32_t workers = 1;
-  std::uint32_t shards = 1;
 };
 
 /// One tracked incident: a critical cluster with a live streak.
@@ -233,9 +232,9 @@ class StreamingDetector {
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
   /// params, engine.max_arity, escalate_after, order policy).
-  /// engine.expand_kernel and the workers/shards knobs are excluded: every
-  /// kernel and shard count yields bit-identical analyses
-  /// (differential-tested), so those may differ across a save/restore.
+  /// engine.expand_kernel and workers are excluded: every kernel and shard
+  /// count yields bit-identical analyses (differential-tested), so those
+  /// may differ across a save/restore.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 

@@ -44,34 +44,36 @@ PipelineResult::MetricAggregates PipelineResult::aggregates(Metric m) const {
 namespace {
 
 /// Setup and bookkeeping both pipelines share: the result skeleton, the
-/// worker pool, and the per-epoch step — analyze_epoch, store its four
-/// analyses, bump the pipeline.* counters.  Those counts are properties of
-/// the analysis, not the schedule, so they are kStable: totals match for
-/// any workers/shards setting.
+/// worker pool, the shard count for `concurrent_epochs` epochs in flight,
+/// and the per-epoch step — analyze_epoch, store its four analyses, bump
+/// the pipeline.* counters.  Those counts are properties of the analysis,
+/// not the schedule, so they are kStable: totals match for any workers
+/// setting.
 class PipelineRun {
  public:
-  PipelineRun(const PipelineConfig& config, std::uint32_t num_epochs)
+  PipelineRun(const PipelineConfig& config, std::uint32_t num_epochs,
+              std::size_t concurrent_epochs)
       : config_{config},
         workers_{config.workers == 0
                      ? std::max<std::size_t>(
                            1, std::thread::hardware_concurrency())
-                     : config.workers} {
+                     : config.workers},
+        shards_{epoch_shards(workers_, concurrent_epochs)} {
     result.config = config;
     result.num_epochs = num_epochs;
     for (auto& v : result.per_metric) v.resize(num_epochs);
     if (workers_ > 1 && num_epochs > 0) pool_.emplace(workers_);
   }
 
-  [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
   [[nodiscard]] ThreadPool* pool() noexcept {
     return pool_ ? &*pool_ : nullptr;
   }
 
-  void analyze(std::uint32_t epoch, const LeafFold& fold, std::size_t shards,
+  void analyze(std::uint32_t epoch, const LeafFold& fold,
                std::size_t sessions) {
     EpochAnalyses analyses = analyze_epoch(fold, config_.engine,
                                            config_.cluster_params, pool(),
-                                           shards);
+                                           shards_);
     for (const Metric m : kAllMetrics) {
       const auto mi = static_cast<std::uint8_t>(m);
       CriticalAnalysis& analysis = result.per_metric[mi][epoch].analysis;
@@ -88,6 +90,7 @@ class PipelineRun {
  private:
   const PipelineConfig& config_;
   const std::size_t workers_;
+  const std::size_t shards_;
   std::optional<ThreadPool> pool_;
   obs::Counter& epochs_ = obs::Registry::global().counter("pipeline.epochs");
   obs::Counter& sessions_ =
@@ -98,16 +101,6 @@ class PipelineRun {
       obs::Registry::global().counter("pipeline.critical_clusters");
 };
 
-std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
-                           std::size_t num_epochs) {
-  if (config.shards != 0) return config.shards;
-  if (workers <= 1 || num_epochs == 0) return 1;
-  // With epochs >= workers the epoch level saturates the pool by itself;
-  // below that, shard each epoch's expansion so every worker has a slice.
-  if (num_epochs >= workers) return 1;
-  return (workers + num_epochs - 1) / num_epochs;
-}
-
 }  // namespace
 
 PipelineResult run_pipeline(const SessionTable& table,
@@ -117,10 +110,9 @@ PipelineResult run_pipeline(const SessionTable& table,
     throw std::invalid_argument{
         "run_pipeline: degraded epochs must be sorted ascending"};
   }
-  PipelineRun run{config, table.num_epochs()};
+  // All epochs may run at once: they shard only when fewer than workers.
+  PipelineRun run{config, table.num_epochs(), table.num_epochs()};
   run.result.degraded_epochs.assign(degraded.begin(), degraded.end());
-  const std::size_t shards =
-      resolve_shards(config, run.workers(), table.num_epochs());
 
   const auto process_epoch = [&](std::size_t e) {
     const auto epoch = static_cast<std::uint32_t>(e);
@@ -130,7 +122,7 @@ PipelineResult run_pipeline(const SessionTable& table,
       VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
       return fold_sessions(sessions, config.thresholds, epoch);
     }();
-    run.analyze(epoch, fold, shards, sessions.size());
+    run.analyze(epoch, fold, sessions.size());
   };
 
   if (run.pool() == nullptr) {
@@ -147,11 +139,9 @@ PipelineResult run_pipeline(const SessionTable& table,
 
 PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
                                       const PipelineConfig& config) {
-  PipelineRun run{config, source.num_epochs()};
   // Epochs stream sequentially (that is the memory bound), so all
-  // parallelism lives inside the epoch: default shards to the pool width.
-  const std::size_t shards =
-      config.shards != 0 ? config.shards : run.workers();
+  // parallelism lives inside the epoch.
+  PipelineRun run{config, source.num_epochs(), 1};
   // Largest batch ever held: the structural O(one epoch) memory witness.
   obs::Gauge& held_max =
       obs::Registry::global().gauge("pipeline.stream_epoch_sessions_max");
@@ -172,7 +162,7 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
                  ? config.fold_provider(columns, config.thresholds, epoch)
                  : fold_sessions_columns(columns, config.thresholds, epoch);
     }();
-    run.analyze(epoch, fold, shards, columns.size());
+    run.analyze(epoch, fold, columns.size());
   }
   return std::move(run.result);
 }

@@ -8,12 +8,11 @@
 // what-if) consume.
 //
 // Every epoch runs the same engine, analyze_epoch (critical_cluster.h):
-// fold -> lattice -> four critical analyses.  Parallelism has two levels
-// sharing one thread pool: epochs are spread across workers, and within an
-// epoch the lattice expansion and extraction can be sharded (see
-// cluster_engine.h).  Sharding matters when there are fewer epochs
-// than cores — e.g. a live monitor re-analysing the latest hour — and is
-// derived automatically by default.
+// fold -> lattice -> four critical analyses.  `workers` is the only
+// parallelism setting.  One thread pool serves two levels: epochs are
+// spread across workers, and within an epoch the lattice expansion and
+// extraction shard by epoch_shards (critical_cluster.h), which gives each
+// epoch in flight its share of the pool.  Results never depend on either.
 
 #pragma once
 
@@ -37,12 +36,10 @@ struct PipelineConfig {
   ProblemClusterParams cluster_params{.ratio_multiplier = 1.5,
                                       .min_sessions = 1000};
   ClusterEngineConfig engine;
-  /// Worker threads for per-epoch parallelism; 0 = hardware concurrency.
+  /// Worker threads, spread across epochs and then within each epoch
+  /// (epoch_shards); 0 = hardware concurrency.  Any value yields identical
+  /// results.
   std::size_t workers = 1;
-  /// Lattice-expansion shards per epoch: 1 = serial expansion, 0 = derive
-  /// from the worker/epoch ratio (shard only when epochs alone cannot keep
-  /// the pool busy). Any value yields identical results.
-  std::size_t shards = 0;
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the
   /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only
   /// heavy leaves under a --max-cells budget.  The returned fold must carry
@@ -109,10 +106,9 @@ struct PipelineResult {
 /// Out-of-core variant: pulls epochs one at a time from `source` (a
 /// gen/columnar.h ColumnarReader, or a TableColumnsSource) into one reused
 /// SessionColumns buffer, so peak memory is O(largest epoch) instead of
-/// O(whole trace).  Epochs run sequentially; `config.workers` parallelism
-/// is applied *within* each epoch via lattice-expansion sharding (shards =
-/// workers when config.shards is 0).  The result is identical to
-/// run_pipeline over the same sessions — both fold with
+/// O(whole trace).  Epochs run sequentially, so `config.workers` all go to
+/// sharding each epoch (epoch_shards with one epoch in flight).  The result
+/// is identical to run_pipeline over the same sessions — both fold with
 /// fold_sessions_columns (run_pipeline converts each epoch's rows first),
 /// and shard count never affects results.  Epochs whose read_epoch reported
 /// damage land in PipelineResult::degraded_epochs.  The

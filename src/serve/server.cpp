@@ -346,7 +346,7 @@ void Server::handle_data(Connection& c, const std::string& payload) {
     // Validation order mirrors read_trace_binary_robust: epoch cap first
     // (nothing may tally by a poisoned epoch), then schema, then metrics,
     // then the flag byte.
-    if (s.epoch > config_.max_epoch) {
+    if (s.epoch > kDefaultMaxEpoch) {
       reject(RowErrorKind::kBadNumber, /*epoch_valid=*/false);
       continue;
     }
@@ -700,12 +700,8 @@ void Server::detector_loop() {
     }
     impl_->next_seal = e + 1;
     impl_->next_seal_published.store(impl_->next_seal);
-    bool wrote_checkpoint = false;
-    if (!config_.checkpoint_path.empty() &&
-        (e + 1) % std::max<std::uint32_t>(config_.checkpoint_every, 1) == 0) {
-      detector_.save_checkpoint(config_.checkpoint_path);
-      wrote_checkpoint = true;
-    }
+    const bool wrote_checkpoint = !config_.checkpoint_path.empty();
+    if (wrote_checkpoint) detector_.save_checkpoint(config_.checkpoint_path);
     const MutexLock lock{impl_->stats_mutex};
     impl_->stats.epochs_sealed += 1;
     if (wrote_checkpoint) impl_->stats.checkpoints_written += 1;

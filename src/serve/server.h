@@ -123,8 +123,9 @@ struct ServeConfig {
   /// kStrict cannot throw in a server that must never crash; instead the
   /// first quarantined row closes the offending connection (the error stays
   /// on the producer that sent it).
+  /// Rows with an epoch above kDefaultMaxEpoch (robust_io.h) are
+  /// quarantined like the file readers' epoch cap.
   ErrorPolicy row_policy = ErrorPolicy::kQuarantine;
-  std::uint32_t max_epoch = kDefaultMaxEpoch;
 
   std::size_t queue_capacity_rows = 1u << 16;
   OverloadPolicy overload = OverloadPolicy::kBlockWithDeadline;
@@ -137,10 +138,9 @@ struct ServeConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   std::size_t max_connections = 64;
 
-  /// Empty = no checkpointing.  Saved after every checkpoint_every sealed
-  /// epochs and once at drain.
+  /// Empty = no checkpointing.  Saved after every sealed epoch and once at
+  /// drain.
   std::filesystem::path checkpoint_path;
-  std::uint32_t checkpoint_every = 1;
 
   /// CI hook: once at least one producer has connected and all connections
   /// have closed, drain automatically (so scripted runs exit by

@@ -44,6 +44,10 @@ rejected "workrs" analyze --in "$missing.vqtc" --workrs 3
 rejected "workrs bogus" analyze --in "$missing.vqtr" --workrs 3 --bogus
 rejected "incremental" monitor --in "$missing.vqtc" --incremental
 rejected "incremental" monitor --serve "unix:$missing.sock" --incremental
+# --workers is the only parallelism option; shards derive from it.
+rejected "shards" analyze --in "$missing.vqtc" --workers 4 --shards 2
+rejected "shards" monitor --in "$missing.vqtr" --workers 4 --shards 4
+rejected "shards" monitor --serve "unix:$missing.sock" --workers 4 --shards 4
 rejected "bogus" generate --out "$missing.csv" --bogus
 rejected "bogus" convert --in "$missing.csv" --out "$missing.vqtc" --bogus
 rejected "bogus" whatif --in "$missing.csv" --bogus
@@ -51,11 +55,11 @@ rejected "bogus" feed --in "$missing.vqtr" --connect "unix:$missing" --bogus
 rejected "bogus" timeline --in "$missing.csv" --bogus
 rejected "bogus" report --in "$missing.csv" --bogus
 
-accepted analyze --in "$missing.vqtc" --workers 4 --shards 2 \
+accepted analyze --in "$missing.vqtc" --workers 4 \
   --min-sessions 5 --top 3 --on-error quarantine --max-cells 1270 \
   --stats-out "$missing.json" --trace-out "$missing.json"
-accepted monitor --in "$missing.vqtr" --min-sessions 5 --workers 1 \
-  --shards 1 --delay 2 --checkpoint "$missing.vqck" --stop-after 3
+accepted monitor --in "$missing.vqtr" --min-sessions 5 --workers 4 \
+  --delay 2 --checkpoint "$missing.vqck" --stop-after 3
 accepted monitor --serve "unix:$missing.sock" --min-sessions 5 \
   --serve-drain --push-deadline-ms 60000 --workers 1 --queue-rows 64 \
   --overload shed --idle-timeout-ms 10 --read-timeout-ms 10 \

@@ -271,7 +271,6 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
   // bit-identical, so they may legitimately change across a save/restore.
   MonitorConfig parallel = base;
   parallel.workers = 4;
-  parallel.shards = 4;
   MonitorConfig scalar = base;
   scalar.engine.expand_kernel = BatchKernel::kScalar;
   for (const MonitorConfig& same : {parallel, scalar}) {

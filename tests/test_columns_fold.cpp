@@ -2,7 +2,8 @@
 // problem_bits_columns / pack_leaf_keys_columns / fold_sessions_columns
 // must reproduce the naive oracle (tests/oracle.h) bit for bit, with both
 // the kAuto (SIMD) and kScalar kernels — and run_pipeline_streaming must
-// match run_pipeline at every workers x shards combination.
+// match run_pipeline at every workers setting (and so at every shard count
+// the two derive from it).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -267,36 +269,59 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   config.cluster_params.min_sessions = 40;
 
   config.workers = 1;
-  config.shards = 1;
   const PipelineResult baseline = run_pipeline(trace, config);
 
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t shards : {0u, 1u, 2u, 5u}) {
-      config.workers = workers;
-      config.shards = shards;
-      TableColumnsSource source{trace};
-      const PipelineResult streamed = run_pipeline_streaming(source, config);
-      ASSERT_EQ(streamed.num_epochs, baseline.num_epochs);
-      EXPECT_TRUE(streamed.degraded_epochs.empty());
-      for (const Metric m : kAllMetrics) {
-        for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-          SCOPED_TRACE("workers=" + std::to_string(workers) +
-                       " shards=" + std::to_string(shards));
-          test::expect_same_analysis(baseline.at(m, e).analysis,
-                                    streamed.at(m, e).analysis);
-        }
-      }
-      // Cross-check the parallel in-memory pipeline at the same settings —
-      // three-way agreement pins both paths to the serial baseline.
-      const PipelineResult parallel = run_pipeline(trace, config);
-      for (const Metric m : kAllMetrics) {
-        for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-          test::expect_same_analysis(baseline.at(m, e).analysis,
-                                    parallel.at(m, e).analysis);
-        }
+  // Shards derive from workers (epoch_shards): streamed, each epoch takes
+  // 1, 2, 4 or 5 shards; in RAM over 3 epochs, 1, 1, 2 and 2.
+  for (const std::size_t workers : {1u, 2u, 4u, 5u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    config.workers = workers;
+    TableColumnsSource source{trace};
+    const PipelineResult streamed = run_pipeline_streaming(source, config);
+    ASSERT_EQ(streamed.num_epochs, baseline.num_epochs);
+    EXPECT_TRUE(streamed.degraded_epochs.empty());
+    // Cross-check the parallel in-memory pipeline at the same settings —
+    // three-way agreement pins both paths to the serial baseline.
+    const PipelineResult parallel = run_pipeline(trace, config);
+    for (const Metric m : kAllMetrics) {
+      for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
+        test::expect_same_analysis(baseline.at(m, e).analysis,
+                                   streamed.at(m, e).analysis);
+        test::expect_same_analysis(baseline.at(m, e).analysis,
+                                   parallel.at(m, e).analysis);
       }
     }
   }
+}
+
+TEST(TableColumnsSource, RereadingAnEpochReusesEveryColumn) {
+  // read_epoch refills `out` in place: a second read of an epoch of the
+  // same size must not reallocate any column.
+  std::vector<Session> rows;
+  test::add_sessions(rows, 0, test::Attrs{.cdn = 1, .asn = 2},
+                     test::good_quality(), 300);
+  test::add_sessions(rows, 1, test::Attrs{.cdn = 2, .asn = 3},
+                     test::bad_buffering(), 300);
+  const SessionTable trace{std::move(rows)};
+  TableColumnsSource source{trace};
+  SessionColumns columns;
+  (void)source.read_epoch(0, columns);
+  const auto data_pointers = [&columns] {
+    std::vector<const void*> out;
+    for (const auto& column : columns.attrs) out.push_back(column.data());
+    out.push_back(columns.buffering_ratio.data());
+    out.push_back(columns.bitrate_kbps.data());
+    out.push_back(columns.join_time_ms.data());
+    out.push_back(columns.join_failed.data());
+    return out;
+  };
+  const std::vector<const void*> first = data_pointers();
+  (void)source.read_epoch(1, columns);
+  EXPECT_EQ(data_pointers(), first);
+  (void)source.read_epoch(0, columns);
+  EXPECT_EQ(data_pointers(), first);
+  ASSERT_EQ(columns.size(), 300u);
+  EXPECT_EQ(columns.attrs[static_cast<std::size_t>(AttrDim::kCdn)][7], 1);
 }
 
 TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {

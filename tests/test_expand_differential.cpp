@@ -194,12 +194,13 @@ INSTANTIATE_TEST_SUITE_P(ArityCaps, ExpandDifferential,
 
 TEST(ExpandDifferential, PipelineOutputsMatchOracle) {
   // End to end: the full pipeline (fold -> expand -> per-metric critical
-  // analysis) at workers x shards 2 x 4 must publish the oracle's analyses.
+  // analysis) at 4 workers over one epoch, so 4 shards (epoch_shards),
+  // must publish the oracle's analyses.
   const SessionTable& trace = test::dense_epoch_trace();
+  ASSERT_EQ(trace.num_epochs(), 1u);
   PipelineConfig config;
   config.cluster_params = {.ratio_multiplier = 1.5, .min_sessions = 150};
-  config.workers = 2;
-  config.shards = 4;
+  config.workers = 4;
   const PipelineResult result = run_pipeline(trace, config);
   const oracle::Lattice lattice =
       oracle::lattice(fold_sessions(trace.epoch(0), config.thresholds, 0));

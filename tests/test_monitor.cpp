@@ -9,6 +9,7 @@
 #include "src/core/pipeline.h"
 #include "src/core/prevalence.h"
 #include "src/gen/tracegen.h"
+#include "src/obs/metrics.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -254,6 +255,41 @@ TEST(StreamingDetector, StreaksMatchBatchPrevalenceAnalytics) {
       EXPECT_EQ(streak.max_streak, timeline.max_persistence);
       EXPECT_DOUBLE_EQ(streak.prevalence, timeline.prevalence);
     }
+  }
+}
+
+TEST(StreamingDetector, WorkersShardTheEpochOnThePool) {
+  // monitor and monitor --serve reach the per-epoch engine only through the
+  // detector, so `workers` alone must put its pool to work: 1,200 distinct
+  // leaves clear the kernels' minimum shard size, and epoch_shards gives
+  // the one epoch in flight all four workers.  CDN 0 is the planted cause.
+  std::vector<Session> sessions;
+  for (std::uint16_t asn = 0; asn < 1'200; ++asn) {
+    const auto cdn = static_cast<std::uint16_t>(asn % 3);
+    test::add_sessions(sessions, 0, Attrs{.cdn = cdn, .asn = asn},
+                       cdn == 0 ? test::bad_buffering()
+                                : test::good_quality(),
+                       2);
+  }
+  const MonitorConfig serial_config = small_monitor();
+  StreamingDetector serial{serial_config};
+  const std::vector<IncidentEvent> want = serial.ingest(sessions, 0);
+  ASSERT_FALSE(want.empty());
+
+  obs::Counter& batches = obs::Registry::global().counter(
+      "threadpool.parallel_for_batches", obs::Determinism::kRuntime);
+  const std::uint64_t before = batches.value();
+  MonitorConfig config = serial_config;
+  config.workers = 4;
+  StreamingDetector parallel{config};
+  const std::vector<IncidentEvent> got = parallel.ingest(sessions, 0);
+  EXPECT_GT(batches.value(), before);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].update, want[i].update);
+    EXPECT_EQ(got[i].incident.key, want[i].incident.key);
+    EXPECT_EQ(got[i].incident.attributed, want[i].incident.attributed);
   }
 }
 

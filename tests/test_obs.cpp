@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs): registry determinism across
-// workers/shards settings, histogram bucket edges, span nesting, and the
+// workers settings, histogram bucket edges, span nesting, and the
 // chrome-trace exporter's JSON validity + timestamp monotonicity.
 //
 // The registry and recorder are process-wide singletons and ctest normally
@@ -110,32 +110,41 @@ TEST(ObsRegistry, ResetValuesKeepsRegistrations) {
   EXPECT_EQ(&reg.counter("obs_test.reset_keep"), &c);  // ...handle intact
 }
 
-// --- registry determinism across workers/shards ------------------------------
+// --- registry determinism across workers -------------------------------------
 
 TEST(ObsRegistry, SnapshotIdenticalAcrossWorkersAndShards) {
   const SessionTable trace = small_trace();
   obs::Registry& reg = obs::Registry::global();
+  PipelineConfig config;
+  config.cluster_params.min_sessions = 40;
 
-  std::vector<std::string> snapshots;
-  for (const std::size_t workers : {1u, 4u}) {
-    for (const std::size_t shards : {1u, 4u}) {
+  // Shards derive from workers (epoch_shards).  In RAM over 6 epochs:
+  // 1 worker is serial, 4 run epochs in parallel unsharded, 8 run them in
+  // parallel with 2 shards each.  Streamed, all workers shard the one
+  // epoch in flight.  Each path's snapshots must agree across workers
+  // (the streamed one also carries its held-batch gauge).
+  for (const bool streamed : {false, true}) {
+    std::vector<std::string> snapshots;
+    for (const std::size_t workers : {1u, 4u, 8u}) {
       reg.reset_values();
-      PipelineConfig config;
       config.workers = workers;
-      config.shards = shards;
-      config.cluster_params.min_sessions = 40;
-      (void)run_pipeline(trace, config);
+      if (streamed) {
+        TableColumnsSource source{trace};
+        (void)run_pipeline_streaming(source, config);
+      } else {
+        (void)run_pipeline(trace, config);
+      }
       snapshots.push_back(reg.snapshot_json());
     }
+    // The kStable snapshot is a determinism contract: byte-identical JSON
+    // for every workers setting on the same input.
+    for (std::size_t i = 1; i < snapshots.size(); ++i) {
+      EXPECT_EQ(snapshots[0], snapshots[i])
+          << "streamed=" << streamed << " config #" << i;
+    }
+    EXPECT_NE(snapshots[0].find("\"pipeline.epochs\": 6"), std::string::npos)
+        << snapshots[0];
   }
-  ASSERT_EQ(snapshots.size(), 4u);
-  // The kStable snapshot is a determinism contract: byte-identical JSON for
-  // every {workers, shards} combination on the same input.
-  for (std::size_t i = 1; i < snapshots.size(); ++i) {
-    EXPECT_EQ(snapshots[0], snapshots[i]) << "config #" << i;
-  }
-  EXPECT_NE(snapshots[0].find("\"pipeline.epochs\": 6"), std::string::npos)
-      << snapshots[0];
 }
 
 // --- histogram bucketing -----------------------------------------------------

@@ -143,18 +143,51 @@ TEST_F(GeneratedFixture, ParallelPipelineMatchesSerial) {
 }
 
 TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
-  // Force intra-epoch sharding (workers > epochs would also trigger it via
-  // the heuristic; pin it explicitly so the test exercises the knob).
+  // Shards derive from workers (epoch_shards).  Four workers over two
+  // epochs run both epochs at once with two shards each; streamed, the one
+  // epoch in flight takes all four.
   PipelineConfig sharded_config = config;
   sharded_config.workers = 4;
-  sharded_config.shards = 4;
-  const PipelineResult sharded = run_pipeline(trace, sharded_config);
+  const std::size_t two_epochs =
+      trace.epoch(0).size() + trace.epoch(1).size();
+  const SessionTable head{std::vector<Session>(
+      trace.sessions().begin(), trace.sessions().begin() + two_epochs)};
+  const PipelineResult in_ram = run_pipeline(head, sharded_config);
+  ASSERT_EQ(in_ram.num_epochs, 2u);
+  TableColumnsSource source{trace};
+  const PipelineResult streamed =
+      run_pipeline_streaming(source, sharded_config);
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
+      if (e < in_ram.num_epochs) {
+        test::expect_same_analysis(result.at(m, e).analysis,
+                                   in_ram.at(m, e).analysis);
+      }
       test::expect_same_analysis(result.at(m, e).analysis,
-                                 sharded.at(m, e).analysis);
+                                 streamed.at(m, e).analysis);
     }
   }
+}
+
+TEST(EpochShards, MatchesTheBatchAndStreamingRules) {
+  // The two rules epoch_shards replaced.  run_pipeline: 1 shard once the
+  // epochs fill the pool, ceil(workers / epochs) below that.  The streaming
+  // pipeline and the detector: shards = workers.
+  const auto batch_rule = [](std::size_t workers, std::size_t epochs) {
+    if (workers <= 1 || epochs >= workers) return std::size_t{1};
+    return (workers + epochs - 1) / epochs;
+  };
+  for (std::size_t workers = 1; workers <= 16; ++workers) {
+    EXPECT_EQ(epoch_shards(workers, 1), workers);
+    for (std::size_t epochs = 1; epochs <= 40; ++epochs) {
+      EXPECT_EQ(epoch_shards(workers, epochs), batch_rule(workers, epochs))
+          << "workers=" << workers << " epochs=" << epochs;
+    }
+  }
+  // Out of either rule's range: 0 workers counts as 1, 0 epochs as 1.
+  EXPECT_EQ(epoch_shards(0, 7), 1u);
+  EXPECT_EQ(epoch_shards(0, 0), 1u);
+  EXPECT_EQ(epoch_shards(4, 0), 4u);
 }
 
 TEST(Pipeline, EmptyTable) {

@@ -73,7 +73,7 @@ int usage() {
       "                   [--format csv|binary|columnar]\n"
       "  vidqual analyze  --in FILE [--min-sessions N=auto] [--top K=5]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
-      "                   [--workers N=auto] [--shards N=auto] [--max-cells N]\n"
+      "                   [--workers N=auto] [--max-cells N]\n"
       "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual convert  --in FILE --out FILE [--format csv|binary|"
       "columnar]\n"
@@ -85,7 +85,7 @@ int usage() {
       "  vidqual monitor  --in FILE [--delay H=1] [--min-sessions N=auto]\n"
       "                   [--checkpoint FILE] [--on-error strict|quarantine|"
       "best-effort]\n"
-      "                   [--workers N=1] [--shards N=1] [--stop-after N]\n"
+      "                   [--workers N=1] [--stop-after N]\n"
       "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual monitor  --serve ADDR [--delay H=1] [--min-sessions N=1000]\n"
       "                   [--checkpoint FILE] [--on-error strict|quarantine|"
@@ -95,7 +95,7 @@ int usage() {
       "N=30000]\n"
       "                   [--read-timeout-ms N=10000] [--max-frame-bytes N]\n"
       "                   [--max-conns N=64] [--serve-drain]\n"
-      "                   [--workers N=1] [--shards N=1]\n"
+      "                   [--workers N=1]\n"
       "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual feed     --in FILE --connect ADDR [--rows-per-frame N=4096]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
@@ -111,7 +111,7 @@ int usage() {
       "for live producers (vidqual feed) instead of reading a file; SIGTERM\n"
       "or SIGINT drains: seal pending epochs, checkpoint, exit 0.\n"
       "--stats-out writes the deterministic metric snapshot (byte-identical\n"
-      "for any --workers/--shards); --trace-out writes per-stage spans as\n"
+      "for any --workers); --trace-out writes per-stage spans as\n"
       "chrome://tracing / Perfetto JSON.\n"
       "--max-cells N bounds the lattice by sketch-based admission: only\n"
       "each epoch's heavy leaves (space-saving summary, N/127 leaf budget)\n"
@@ -246,7 +246,7 @@ ObsRequest obs_request(const ArgParser& args) {
 
 /// Writes the requested observability outputs; returns 0 on success. The
 /// stats snapshot contains deterministic (kStable) metrics only, so it is
-/// byte-identical across workers/shards settings on the same input.
+/// byte-identical across workers settings on the same input.
 int write_obs_outputs(const ObsRequest& req) {
   if (req.stats_path.has_value()) {
     std::ofstream out{*req.stats_path, std::ios::trunc};
@@ -370,8 +370,7 @@ int cmd_convert(const ArgParser& args) {
 int cmd_analyze(const ArgParser& args) {
   if (!known_options_only(args, "analyze",
                           {"in", "min-sessions", "top", "on-error", "workers",
-                           "shards", "max-cells", "stats-out",
-                           "trace-out"})) {
+                           "max-cells", "stats-out", "trace-out"})) {
     return 2;
   }
   const auto in = args.option("in");
@@ -381,7 +380,6 @@ int cmd_analyze(const ArgParser& args) {
   const ObsRequest obs_req = obs_request(args);  // before ingest spans start
   PipelineConfig config;
   config.workers = static_cast<std::size_t>(args.option_u64("workers", 0));
-  config.shards = static_cast<std::size_t>(args.option_u64("shards", 0));
 
   // --max-cells: sketch-bounded admission replaces the exact pass-1 fold.
   const auto max_cells =
@@ -554,13 +552,42 @@ void keep_epoch_memory_in_heap() {
 #endif
 }
 
+/// The alert line of both monitor modes (kNew is silent: alert on action);
+/// file and socket output must match byte for byte.
+void print_incident(const IncidentEvent& event,
+                    const std::string& description) {
+  if (event.update == IncidentUpdate::kNew) return;
+  std::printf("%02u:00 %-9s %-11s %s (streak %u h, %.0f sessions)\n",
+              event.epoch,
+              std::string(incident_update_name(event.update)).c_str(),
+              std::string(metric_name(event.incident.metric)).c_str(),
+              description.c_str(), event.incident.streak,
+              event.incident.attributed);
+  std::fflush(stdout);
+}
+
+/// The closing summary of both monitor modes: incidents opened per metric
+/// on stdout, suppressed clears (if any) on stderr.
+void print_monitor_summary(const StreamingDetector& detector) {
+  std::printf("total incidents opened:");
+  for (const Metric m : kAllMetrics) {
+    std::printf(" %s=%ju", std::string(metric_name(m)).c_str(),
+                static_cast<std::uintmax_t>(detector.total_opened(m)));
+  }
+  std::printf("\n");
+  if (detector.suppressed_clears() > 0) {
+    std::fprintf(stderr, "suppressed %ju clear(s) on degraded epochs\n",
+                 static_cast<std::uintmax_t>(detector.suppressed_clears()));
+  }
+}
+
 int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   if (!known_options_only(
           args, "monitor --serve",
           {"serve", "delay", "min-sessions", "checkpoint", "on-error",
            "queue-rows", "overload", "push-deadline-ms", "idle-timeout-ms",
            "read-timeout-ms", "max-frame-bytes", "max-conns", "serve-drain",
-           "workers", "shards", "stats-out", "trace-out"})) {
+           "workers", "stats-out", "trace-out"})) {
     return 2;
   }
   const auto policy = on_error_policy(args);
@@ -583,7 +610,6 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   // dropped (server.h).
   config.order_policy = EpochOrderPolicy::kSkipStale;
   config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
-  config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
   StreamingDetector detector{config};
 
   serve::ServeConfig serve_config;
@@ -625,17 +651,7 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
 
   AttributeSchema schema;
   serve::Server server{serve_config, detector, schema};
-  server.set_event_callback(
-      [](const IncidentEvent& event, const std::string& description) {
-        if (event.update == IncidentUpdate::kNew) return;  // alert on action
-        std::printf("%02u:00 %-9s %-11s %s (streak %u h, %.0f sessions)\n",
-                    event.epoch,
-                    std::string(incident_update_name(event.update)).c_str(),
-                    std::string(metric_name(event.incident.metric)).c_str(),
-                    description.c_str(), event.incident.streak,
-                    event.incident.attributed);
-        std::fflush(stdout);
-      });
+  server.set_event_callback(print_incident);
   install_drain_handlers();
   if (server.port() != 0) {
     std::fprintf(stderr, "serving on port %u\n", server.port());
@@ -645,16 +661,7 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   }
   const int rc = server.run();
 
-  std::printf("total incidents opened:");
-  for (const Metric m : kAllMetrics) {
-    std::printf(" %s=%ju", std::string(metric_name(m)).c_str(),
-                static_cast<std::uintmax_t>(detector.total_opened(m)));
-  }
-  std::printf("\n");
-  if (detector.suppressed_clears() > 0) {
-    std::fprintf(stderr, "suppressed %ju clear(s) on degraded epochs\n",
-                 static_cast<std::uintmax_t>(detector.suppressed_clears()));
-  }
+  print_monitor_summary(detector);
   const serve::ServeStats stats = server.stats();
   std::fprintf(stderr,
                "serve: %ju conns, rows received=%ju admitted=%ju "
@@ -679,7 +686,7 @@ int cmd_monitor(const ArgParser& args) {
   }
   if (!known_options_only(args, "monitor",
                           {"in", "delay", "min-sessions", "checkpoint",
-                           "on-error", "workers", "shards", "stop-after",
+                           "on-error", "workers", "stop-after",
                            "stats-out", "trace-out"})) {
     return 2;
   }
@@ -719,7 +726,6 @@ int cmd_monitor(const ArgParser& args) {
   config.escalate_after =
       static_cast<std::uint32_t>(args.option_u64("delay", 1));
   config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
-  config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
   StreamingDetector detector{config};
 
   // Resume: an existing checkpoint restores the registry/counters and skips
@@ -752,12 +758,7 @@ int cmd_monitor(const ArgParser& args) {
     const EpochDataQuality quality{.degraded =
                                        source->read_epoch(e, columns)};
     for (const IncidentEvent& event : detector.ingest(columns, e, quality)) {
-      if (event.update == IncidentUpdate::kNew) continue;  // alert on action
-      std::printf("%02u:00 %-9s %-11s %s (streak %u h, %.0f sessions)\n", e,
-                  std::string(incident_update_name(event.update)).c_str(),
-                  std::string(metric_name(event.incident.metric)).c_str(),
-                  schema.describe(event.incident.key).c_str(),
-                  event.incident.streak, event.incident.attributed);
+      print_incident(event, schema.describe(event.incident.key));
     }
     if (checkpoint.has_value()) detector.save_checkpoint(checkpoint_path);
     if (g_drain_requested != 0) {
@@ -778,16 +779,7 @@ int cmd_monitor(const ArgParser& args) {
                    report.summary().c_str());
     }
   }
-  std::printf("total incidents opened:");
-  for (const Metric m : kAllMetrics) {
-    std::printf(" %s=%ju", std::string(metric_name(m)).c_str(),
-                static_cast<std::uintmax_t>(detector.total_opened(m)));
-  }
-  std::printf("\n");
-  if (detector.suppressed_clears() > 0) {
-    std::fprintf(stderr, "suppressed %ju clear(s) on degraded epochs\n",
-                 static_cast<std::uintmax_t>(detector.suppressed_clears()));
-  }
+  print_monitor_summary(detector);
   return write_obs_outputs(obs_req);
 }
 
