@@ -1,7 +1,7 @@
 // Standalone lattice-expansion benchmark: times pass 2 (expand_fold) — the
-// scalar fallback kernel, the widest SIMD path the build supports (kAuto),
-// and the sharded parallel variant — on one realistic epoch fold and
-// writes the numbers to BENCH_expand.json.
+// iceberg at the CLI's automatic floor, serial and sharded — on one epoch of
+// each generated world (perf_worlds.h), plus the full lattice (floor 1) on
+// the default world for scale, and writes the numbers to BENCH_expand.json.
 //
 // Like perf_fold, this is a plain main() so CI can run it in smoke mode
 // (the bench-smoke gate diffs it against bench/baselines/expand_smoke.json
@@ -10,9 +10,9 @@
 //
 //   usage: perf_expand [--smoke] [output.json]
 //
-//   VIDQUAL_EXPAND_SESSIONS  sessions folded into the epoch (default 400000)
-//   VIDQUAL_EXPAND_REPS      timed repetitions per variant   (default 10)
-//   VIDQUAL_EXPAND_SHARDS    shards for the sharded variant  (default 4)
+//   VIDQUAL_EXPAND_SESSIONS  sessions in each world's epoch (default 40000)
+//   VIDQUAL_EXPAND_REPS      timed repetitions per variant  (default 100)
+//   VIDQUAL_EXPAND_SHARDS    shards for the sharded variant (default 4)
 //
 // Smoke mode shrinks the knobs so the whole binary finishes in seconds; it
 // still exercises every variant and the bit-identity check.
@@ -25,9 +25,8 @@
 #include <string>
 #include <string_view>
 
+#include "bench/perf_worlds.h"
 #include "src/core/cluster_engine.h"
-#include "src/core/columns.h"
-#include "src/gen/tracegen.h"
 #include "src/util/thread_pool.h"
 
 namespace {
@@ -54,10 +53,11 @@ bool tables_identical(const vq::EpochClusterTable& a,
   const auto& kb = b.clusters.keys();
   const auto& ca = a.clusters.cells();
   const auto& cb = b.clusters.cells();
-  return a.root == b.root && std::equal(ka.begin(), ka.end(), kb.begin(),
-                                        kb.end()) &&
+  return a.root == b.root &&
+         std::equal(ka.begin(), ka.end(), kb.begin(), kb.end()) &&
          std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()) &&
-         a.leaf_index.cell_rows == b.leaf_index.cell_rows;
+         a.leaf_index.projections == b.leaf_index.projections &&
+         a.leaf_index.cell_ids == b.leaf_index.cell_ids;
 }
 
 }  // namespace
@@ -77,76 +77,14 @@ int main(int argc, char** argv) {
   }
 
   const auto sessions_n = static_cast<std::uint32_t>(
-      env_u64("VIDQUAL_EXPAND_SESSIONS", smoke ? 40'000 : 400'000));
+      env_u64("VIDQUAL_EXPAND_SESSIONS", smoke ? 20'000 : 40'000));
   const auto reps = static_cast<std::size_t>(
-      env_u64("VIDQUAL_EXPAND_REPS", smoke ? 3 : 10));
+      env_u64("VIDQUAL_EXPAND_REPS", smoke ? 40 : 100));
   const auto shards =
       static_cast<std::size_t>(env_u64("VIDQUAL_EXPAND_SHARDS", 4));
-
-  // Same default bench world as perf_fold: one epoch over a compact
-  // attribute universe, so leaves repeat heavily and the expansion — not
-  // the fold — dominates.
-  WorldConfig world_config;
-  world_config.num_sites = 20;
-  world_config.num_cdns = 3;
-  world_config.num_asns = 50;
-  const World world = World::build(world_config);
-  EventScheduleConfig event_config;
-  event_config.num_epochs = 1;
-  const EventSchedule events = EventSchedule::generate(world, event_config);
-  TraceConfig trace_config;
-  trace_config.num_epochs = 1;
-  trace_config.sessions_per_epoch = sessions_n;
-  trace_config.diurnal_amplitude = 0.0;
-  const SessionTable trace = generate_trace(world, events, trace_config);
-
-  const ProblemThresholds thresholds;
-  const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
-
-  ClusterEngineConfig scalar_config;
-  scalar_config.expand_kernel = BatchKernel::kScalar;
-  const ClusterEngineConfig mm_config;  // default kernel: kAuto
-
-  std::printf("perf_expand: %zu sessions, %zu leaves, %zu reps, kernel %s\n",
-              trace.size(), fold.leaves.size(), reps,
-              std::string{batch_kernel_name()}.c_str());
-
-  // A "rep" is one full pass-2 expansion of the epoch fold, so reps/sec is
-  // directly expand epochs/sec — at ~90% of epoch cost this is the epoch
-  // throughput ceiling the pipeline sees.
-  const auto check = [&](const EpochClusterTable& table) {
-    if (table.root.sessions != trace.size()) std::abort();
-  };
-  const double scalar_s =
-      time_reps(reps, [&] { check(expand_fold(fold, scalar_config)); });
-  const double simd_s =
-      time_reps(reps, [&] { check(expand_fold(fold, mm_config)); });
+  const std::uint32_t floor = bench::auto_floor(sessions_n);
+  const ClusterEngineConfig config;
   ThreadPool pool{shards};
-  const double sharded_s = time_reps(
-      reps, [&] { check(expand_fold(fold, mm_config, &pool, shards)); });
-
-  // Bit-identity before the numbers mean anything (the full differential
-  // lives in tests/test_expand_differential.cpp).
-  const EpochClusterTable table = expand_fold(fold, mm_config);
-  if (!tables_identical(table, expand_fold(fold, scalar_config)) ||
-      !tables_identical(table, expand_fold(fold, mm_config, &pool, shards))) {
-    std::fprintf(stderr, "FATAL: scalar, kAuto and sharded disagree\n");
-    return 1;
-  }
-
-  const double n = static_cast<double>(reps);
-  const double scalar_eps = n / scalar_s;
-  const double simd_eps = n / simd_s;
-  const double sharded_eps = n / sharded_s;
-  const double leaves_per_sec =
-      simd_eps * static_cast<double>(fold.leaves.size());
-
-  std::printf("  mask-major scalar : %8.2f expands/sec\n", scalar_eps);
-  std::printf("  mask-major %-6s : %8.2f expands/sec  (%.2fx, %.1fM leaves/s)\n",
-              std::string{batch_kernel_name()}.c_str(), simd_eps,
-              simd_eps / scalar_eps, leaves_per_sec / 1e6);
-  std::printf("  mask-major x%-5zu : %8.2f expands/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / simd_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -154,19 +92,65 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << "{\n"
-      << "  \"bench\": \"mask_major_expand\",\n"
+      << "  \"bench\": \"iceberg_expand\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"kernel\": \"" << batch_kernel_name() << "\",\n"
-      << "  \"sessions\": " << trace.size() << ",\n"
-      << "  \"leaves\": " << fold.leaves.size() << ",\n"
-      << "  \"cells\": " << table.clusters.size() << ",\n"
+      << "  \"sessions\": " << sessions_n << ",\n"
+      << "  \"floor\": " << floor << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"shards\": " << shards << ",\n"
-      << "  \"maskmajor_scalar_expands_per_sec\": " << scalar_eps << ",\n"
-      << "  \"maskmajor_expands_per_sec\": " << simd_eps << ",\n"
-      << "  \"maskmajor_sharded_expands_per_sec\": " << sharded_eps << ",\n"
-      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << "\n"
-      << "}\n";
+      << "  \"shards\": " << shards << ",\n";
+  std::printf("perf_expand: %u sessions per world, floor %u, %zu reps\n",
+              sessions_n, floor, reps);
+
+  for (const bench::PerfWorld& world : bench::kPerfWorlds) {
+    const SessionTable trace = bench::perf_epoch(world, sessions_n);
+    const LeafFold fold = fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
+    const auto check = [&](const EpochClusterTable& table) {
+      if (table.root.sessions != trace.size()) std::abort();
+    };
+    // A "rep" is one pass-2 expansion of the epoch fold, so reps/sec is
+    // expand epochs/sec.
+    const double serial_s = time_reps(
+        reps, [&] { check(expand_fold(fold, config, nullptr, 1, floor)); });
+    const double sharded_s = time_reps(reps, [&] {
+      check(expand_fold(fold, config, &pool, shards, floor));
+    });
+
+    // Bit-identity before the numbers mean anything (the oracle
+    // differential lives in tests/test_expand_differential.cpp).
+    const EpochClusterTable table =
+        expand_fold(fold, config, nullptr, 1, floor);
+    if (!tables_identical(table,
+                          expand_fold(fold, config, &pool, shards, floor))) {
+      std::fprintf(stderr, "FATAL: %s: serial and sharded disagree\n",
+                   world.name);
+      return 1;
+    }
+    const double n = static_cast<double>(reps);
+    const std::string w{world.name};
+    std::printf("  %-7s: %zu leaves, %zu cells; iceberg %8.2f expands/sec, "
+                "x%zu %8.2f\n",
+                world.name, fold.leaves.size(), table.clusters.size(),
+                n / serial_s, shards, n / sharded_s);
+    out << "  \"" << w << "_leaves\": " << fold.leaves.size() << ",\n"
+        << "  \"" << w << "_cells\": " << table.clusters.size() << ",\n"
+        << "  \"" << w << "_iceberg_expands_per_sec\": " << n / serial_s
+        << ",\n"
+        << "  \"" << w << "_iceberg_sharded_expands_per_sec\": "
+        << n / sharded_s << ",\n";
+
+    if (w == "default") {
+      // The full lattice, for scale: what a floor-1 caller (perfbench's
+      // reference composition) pays.
+      const std::size_t full_reps = std::max<std::size_t>(1, reps / 10);
+      const double full_s = time_reps(
+          full_reps, [&] { check(expand_fold(fold, config, nullptr, 1, 1)); });
+      const double full_eps = static_cast<double>(full_reps) / full_s;
+      std::printf("  %-7s: full lattice %8.2f expands/sec\n", world.name,
+                  full_eps);
+      out << "  \"default_full_expands_per_sec\": " << full_eps << ",\n";
+    }
+  }
+  out << "  \"worlds\": " << bench::kPerfWorlds.size() << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

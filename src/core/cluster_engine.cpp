@@ -1,15 +1,14 @@
 #include "src/core/cluster_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "src/core/columns.h"
-#include "src/core/expand_kernels.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
@@ -94,400 +93,438 @@ LeafFold fold_sessions(std::span<const Session> sessions,
 
 namespace {
 
+/// Per-dimension value-field bit ranges, derived from the same kDimBits
+/// layout ClusterKey packs with (fields start right above the 7 mask bits).
+/// lattice_field_mask is tested against dim_field, which pins this table to
+/// the authoritative layout in attributes.cpp.
+constexpr std::array<std::uint64_t, kNumDims> kDimFieldBits = [] {
+  std::array<std::uint64_t, kNumDims> out{};
+  int offset = kNumDims;
+  for (int d = 0; d < kNumDims; ++d) {
+    out[static_cast<std::size_t>(d)] =
+        ((std::uint64_t{1} << kDimBits[static_cast<std::size_t>(d)]) - 1)
+        << offset;
+    offset += kDimBits[static_cast<std::size_t>(d)];
+  }
+  return out;
+}();
+
+constexpr std::array<std::uint64_t, kFullMask + 1> kFieldMaskTable = [] {
+  std::array<std::uint64_t, kFullMask + 1> out{};
+  for (unsigned mask = 0; mask <= kFullMask; ++mask) {
+    for (int d = 0; d < kNumDims; ++d) {
+      if ((mask >> d) & 1u) {
+        out[mask] |= kDimFieldBits[static_cast<std::size_t>(d)];
+      }
+    }
+  }
+  return out;
+}();
+
+/// Shift of each dimension's value field within a packed key.
+constexpr std::array<unsigned, kNumDims> kDimShift = [] {
+  std::array<unsigned, kNumDims> out{};
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    out[d] = static_cast<unsigned>(std::countr_zero(kDimFieldBits[d]));
+  }
+  return out;
+}();
+
 // Sharding only pays off when each shard gets a meaningful slice.
 constexpr std::size_t kMinLeavesPerShard = 256;
 
-// Inputs below this use a comparison sort instead of the LSD radix: the
-// radix's per-pass fixed costs only amortize past ~1k keys.
-constexpr std::size_t kRadixMinKeys = 1024;
+// Partitions below this many leaves, or whose dimension has more than
+// kCountingSpan values per leaf, are grouped by std::sort: a counting sort
+// costs a pass over every possible value, which does not pay on them.
+constexpr std::uint32_t kSortBelow = 48;
+constexpr std::uint32_t kCountingSpan = 8;
+
+// Leaves per block of the index build: a block's share of the CSR arrays
+// (tens of ids per leaf) stays within a core's cache.
+constexpr std::uint32_t kIndexBlock = 2048;
 
 struct ExpandMetrics {
   obs::Counter& leaves;
   obs::Counter& cells;
-  obs::Counter& radix_bytes;
 };
 
-/// expand.radix_bytes is kStable: radix traffic is a pure function of the
-/// per-mask source sizes (cell counts) and radix plans, and the source
-/// choice is itself a deterministic function of those counts — independent
-/// of shard count and SIMD kernel.
 ExpandMetrics& expand_metrics() {
   static ExpandMetrics metrics{
       obs::Registry::global().counter("expand.leaves"),
       obs::Registry::global().counter("expand.cells"),
-      obs::Registry::global().counter("expand.radix_bytes"),
   };
   return metrics;
 }
 
-/// Marker for "this mask folds straight from the leaf arrays" (either the
-/// full mask itself or a mask whose cheapest source is the leaves).
-constexpr std::uint32_t kLeafSource = 0xFFFFFFFFu;
+/// The sorted leaves and the iceberg's parameters, shared read-only by
+/// every shard.
+struct IcebergInput {
+  std::span<const std::uint64_t> keys;
+  std::span<const ClusterStats> stats;
+  std::vector<std::uint32_t> sessions;  // stats[i].sessions, packed
+  std::array<std::uint32_t, kNumDims> span{};  // largest value + 1 per dim
+  std::uint32_t floor = 1;
+  int max_arity = kNumDims;
 
-/// One mask's aggregation output: distinct projected keys (ascending),
-/// folded stats, and the rank map from the source's cell index to this
-/// mask's local rank (for the LeafCellIndex).  `source` is the
-/// index (into `masks`) of the already-aggregated parent this mask folded
-/// from, or kLeafSource.
+  [[nodiscard]] std::uint32_t value(std::uint32_t leaf, int d) const noexcept {
+    const auto dim = static_cast<std::size_t>(d);
+    return static_cast<std::uint32_t>((keys[leaf] & kDimFieldBits[dim]) >>
+                                      kDimShift[dim]);
+  }
+};
+
+/// A partition's run of leaves sharing one value of the partitioned
+/// dimension: positions [lo, hi) of the partition's output.
+struct Run {
+  std::uint32_t lo;
+  std::uint32_t hi;
+  std::uint32_t value;
+};
+
+/// Cells of one mask in emission (key-ascending) order, with each cell's
+/// leaves: cell c's leaves are members[member_end[c - 1] .. member_end[c]).
 struct MaskCells {
   std::vector<std::uint64_t> keys;
   std::vector<ClusterStats> stats;
-  std::vector<std::uint32_t> src_map;
-  std::uint32_t source = kLeafSource;
+  std::vector<std::uint32_t> member_end;
+  std::vector<std::uint32_t> members;
 };
 
-/// True when projecting `source_mask`-sorted keys by `mask` yields a
-/// non-decreasing sequence: every dim the source keeps beyond `mask` sits
-/// strictly below mask's lowest dim, so dropping those fields (which occupy
-/// the least-significant attribute bits) preserves the sort order and equal
-/// projections form contiguous runs.  `mask` is never 0 (lattice_masks).
-[[nodiscard]] bool prefix_aligned(std::uint8_t mask,
-                                  std::uint8_t source_mask) noexcept {
-  const unsigned extra = source_mask & ~static_cast<unsigned>(mask);
-  return (extra >> std::countr_zero(static_cast<unsigned>(mask))) == 0;
-}
+/// One first-dimension subtree: every cell whose highest dimension is
+/// `dim` with that dimension's value fixed to run.value.  Its cells have
+/// masks in [2^dim, 2^(dim+1)), stored at cells[mask - 2^dim].
+struct Subtree {
+  int dim = 0;
+  Run run{};
+  std::vector<MaskCells> cells;
+};
 
-/// Deterministic cost estimate for folding `mask` from a source of
-/// `source_cells` cells: one scan when prefix-aligned, scan + radix passes
-/// otherwise.  Pure function of cell counts, so the source choice — and
-/// with it expand.radix_bytes — is shard- and kernel-invariant.
-[[nodiscard]] std::uint64_t fold_cost(std::uint8_t mask,
-                                      std::uint8_t source_mask,
-                                      std::size_t source_cells) noexcept {
-  const std::uint64_t passes =
-      prefix_aligned(mask, source_mask)
-          ? 0
-          : static_cast<std::uint64_t>(radix_plan(mask).passes);
-  return static_cast<std::uint64_t>(source_cells) * (1 + passes);
-}
+/// One shard's reusable buffers.
+struct IcebergScratch {
+  std::vector<std::uint32_t> count;   // leaves per value, then run starts
+  std::vector<std::uint32_t> sum;     // sessions per value
+  std::vector<std::uint64_t> sorted;  // (value << 32 | leaf), small parts
+  /// Per recursion depth: the partition output and its passing runs.
+  std::array<std::vector<std::uint32_t>, kNumDims> level;
+  std::array<std::vector<Run>, kNumDims> runs;
+};
 
-/// Unit of work: folds one mask's cells from its chosen
-/// source (smallest already-aggregated strict superset, or the leaves).
-/// Prefix-aligned sources fold in one linear run scan; otherwise the
-/// (projected key, source row) pairs are radix-sorted first.  Because
-/// ClusterStats addition is associative and commutative, folding source
-/// cells gives bit-identical sums to folding the underlying leaves.
-/// Returns the radix scatter traffic in bytes.
-std::uint64_t expand_mask(std::size_t j,
-                          const std::vector<std::uint8_t>& masks,
-                          std::span<const std::uint64_t> leaf_keys,
-                          std::span<const ClusterStats> leaf_stats,
-                          BatchKernel kernel,
-                          std::vector<MaskCells>& cells,
-                          ExpandScratch& scratch) {
-  const std::uint8_t mask = masks[j];
-  MaskCells& out = cells[j];
-  if (mask == kFullMask) {
-    // Identity: the full-mask cells are the leaves themselves, already in
-    // canonical ascending order; leaf i's local rank is i (no map needed).
-    out.keys.assign(leaf_keys.begin(), leaf_keys.end());
-    out.stats.assign(leaf_stats.begin(), leaf_stats.end());
-    return 0;
+/// Groups the leaves src[0, n) by dimension d's value into `dst` and lists
+/// in `out`, value ascending, the runs whose sessions reach the floor.
+/// Grouping is stable, so a run of leaves that were ascending in `src`
+/// stays ascending.  `dst` is left unwritten when no run passes.
+// vq:hot
+void partition(const IcebergInput& in, IcebergScratch& s,
+               const std::uint32_t* src, std::uint32_t n, int d,
+               std::vector<std::uint32_t>& dst, std::vector<Run>& out) {
+  out.clear();
+  dst.resize(n);
+  const std::uint32_t span = in.span[static_cast<std::size_t>(d)];
+  if (n < kSortBelow || span / kCountingSpan > n) {
+    s.sorted.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      s.sorted[i] = std::uint64_t{in.value(src[i], d)} << 32 | src[i];
+    }
+    std::sort(s.sorted.begin(), s.sorted.end());
+    for (std::uint32_t i = 0; i < n;) {
+      const auto v = static_cast<std::uint32_t>(s.sorted[i] >> 32);
+      std::uint32_t sessions = 0;
+      std::uint32_t j = i;
+      for (; j < n && (s.sorted[j] >> 32) == v; ++j) {
+        sessions += in.sessions[static_cast<std::uint32_t>(s.sorted[j])];
+      }
+      if (sessions >= in.floor) out.push_back({i, j, v});
+      i = j;
+    }
+    if (!out.empty()) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        dst[i] = static_cast<std::uint32_t>(s.sorted[i]);
+      }
+    }
+    return;
   }
-  const bool leaf_src = out.source == kLeafSource;
-  const std::uint64_t* src_keys =
-      leaf_src ? leaf_keys.data() : cells[out.source].keys.data();
-  const ClusterStats* src_stats =
-      leaf_src ? leaf_stats.data() : cells[out.source].stats.data();
-  const std::size_t sn =
-      leaf_src ? leaf_keys.size() : cells[out.source].keys.size();
-  const std::uint8_t src_mask = leaf_src ? kFullMask : masks[out.source];
 
+  s.count.assign(span, 0);
+  s.sum.assign(span, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t v = in.value(src[i], d);
+    ++s.count[v];
+    s.sum[v] += in.sessions[src[i]];
+  }
+  std::uint32_t pos = 0;
+  for (std::uint32_t v = 0; v < span; ++v) {
+    const std::uint32_t c = s.count[v];
+    if (c == 0) continue;
+    if (s.sum[v] >= in.floor) out.push_back({pos, pos + c, v});
+    s.count[v] = pos;
+    pos += c;
+  }
+  if (out.empty()) return;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    dst[s.count[in.value(src[i], d)]++] = src[i];
+  }
+}
+
+/// Appends the cell (`mask`, `key`) over the leaves leaves[0, n).
+void emit(const IcebergInput& in, Subtree& t, std::uint8_t mask,
+          std::uint64_t key, const std::uint32_t* leaves, std::uint32_t n) {
+  MaskCells& out = t.cells[mask - (1u << t.dim)];
+  ClusterStats sum;
+  for (std::uint32_t i = 0; i < n; ++i) sum += in.stats[leaves[i]];
+  out.members.insert(out.members.end(), leaves, leaves + n);
+  out.keys.push_back(key);
+  out.stats.push_back(sum);
+  out.member_end.push_back(static_cast<std::uint32_t>(out.members.size()));
+}
+
+/// The BUC recursion.  leaves[0, n) are the leaves of the cell (`mask`,
+/// `key`), ascending, and reach the floor; emits every cell that refines
+/// it by dimensions below `below` and reaches the floor, within the arity
+/// cap.  Dimensions are taken highest first and runs value-ascending, so
+/// each mask's cells are emitted in ascending key order, each with its
+/// leaves ascending.
+// vq:hot
+void descend(const IcebergInput& in, IcebergScratch& s, Subtree& t,
+             const std::uint32_t* leaves, std::uint32_t n, std::uint8_t mask,
+             std::uint64_t key, int below, int arity) {
+  if (arity >= in.max_arity || below == 0) return;
+  if (n == 1) {
+    // One leaf: every remaining projection is a cell with its counters.
+    const std::uint64_t leaf_key = in.keys[leaves[0]];
+    const unsigned free_dims = (1u << below) - 1;
+    for (unsigned sub = free_dims; sub != 0; sub = (sub - 1) & free_dims) {
+      if (arity + std::popcount(sub) > in.max_arity) continue;
+      const auto m = static_cast<std::uint8_t>(mask | sub);
+      emit(in, t, m, m | (leaf_key & kFieldMaskTable[m]), leaves, 1);
+    }
+    return;
+  }
+  const auto depth = static_cast<std::size_t>(arity);
+  std::vector<std::uint32_t>& grouped = s.level[depth];
+  std::vector<Run>& runs = s.runs[depth];
+  for (int d = below - 1; d >= 0; --d) {
+    partition(in, s, leaves, n, d, grouped, runs);
+    for (const Run& r : runs) {
+      const auto child = static_cast<std::uint8_t>(mask | (1u << d));
+      const std::uint64_t child_key =
+          key | child |
+          std::uint64_t{r.value} << kDimShift[static_cast<std::size_t>(d)];
+      emit(in, t, child, child_key, grouped.data() + r.lo, r.hi - r.lo);
+      descend(in, s, t, grouped.data() + r.lo, r.hi - r.lo, child, child_key,
+              d, arity + 1);
+    }
+  }
+}
+
+/// Builds the iceberg of the sorted leaves into `table`: the first-dimension
+/// subtrees (run in parallel when sharded), then their concatenation in
+/// canonical order and the CSR leaf index.
+void build_iceberg(const IcebergInput& in, EpochClusterTable& table,
+                   ThreadPool* pool, std::size_t shards) {
+  const auto n = static_cast<std::uint32_t>(in.keys.size());
+  std::vector<Subtree> subtrees;
+  // Dimension d's top-level partition of the leaves; its subtrees read
+  // their runs from it and never write it.
+  std::array<std::vector<std::uint32_t>, kNumDims> top;
   {
-    VQ_SPAN("expand.project");
-    scratch.proj.resize(sn);
-    project_keys(src_keys, sn, mask, scratch.proj.data(), kernel);
+    VQ_SPAN("expand.partition");
+    IcebergScratch s;
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t i = 0; i < n; ++i) all[i] = i;
+    for (int d = kNumDims - 1; d >= 0; --d) {
+      partition(in, s, all.data(), n, d, top[static_cast<std::size_t>(d)],
+                s.runs[0]);
+      for (const Run& r : s.runs[0]) subtrees.push_back({d, r, {}});
+    }
   }
-  std::uint64_t radix_bytes = 0;
-  const std::uint32_t* order = nullptr;  // identity permutation
-  if (!prefix_aligned(mask, src_mask)) {
-    VQ_SPAN("expand.sort");
-    scratch.rows.resize(sn);
-    for (std::size_t i = 0; i < sn; ++i) {
-      scratch.rows[i] = static_cast<std::uint32_t>(i);
-    }
-    if (sn < kRadixMinKeys) {
-      // Below the radix break-even the per-pass fixed costs (histogram
-      // clears + 256-bucket prefix sums) dominate; an introsort on
-      // (projected key, source row) produces the same stable order — row
-      // ties broken ascending — at O(n log n) on a tiny n.  The threshold
-      // depends only on the source's cell count, so the engine's
-      // expand.radix_bytes stays shard- and kernel-invariant.
-      std::sort(scratch.rows.begin(), scratch.rows.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return scratch.proj[a] != scratch.proj[b]
-                             ? scratch.proj[a] < scratch.proj[b]
-                             : a < b;
-                });
-      scratch.key_scratch.resize(sn);
-      for (std::size_t i = 0; i < sn; ++i) {
-        scratch.key_scratch[i] = scratch.proj[scratch.rows[i]];
-      }
-      scratch.proj.swap(scratch.key_scratch);
+  const auto run_subtree = [&](Subtree& t, IcebergScratch& s) {
+    t.cells.resize(std::size_t{1} << t.dim);
+    const std::uint32_t* leaves =
+        top[static_cast<std::size_t>(t.dim)].data() + t.run.lo;
+    const std::uint32_t count = t.run.hi - t.run.lo;
+    const auto mask = static_cast<std::uint8_t>(1u << t.dim);
+    const std::uint64_t key =
+        mask | std::uint64_t{t.run.value}
+                   << kDimShift[static_cast<std::size_t>(t.dim)];
+    emit(in, t, mask, key, leaves, count);
+    descend(in, s, t, leaves, count, mask, key, t.dim, 1);
+  };
+  {
+    VQ_SPAN("expand.iceberg");
+    if (pool == nullptr || shards <= 1 || n < 2 * kMinLeavesPerShard ||
+        subtrees.size() <= 1) {
+      IcebergScratch s;
+      for (Subtree& t : subtrees) run_subtree(t, s);
     } else {
-      radix_bytes =
-          radix_sort_pairs(scratch.proj, scratch.rows, radix_plan(mask),
-                           scratch.key_scratch, scratch.row_scratch);
+      // Subtrees only read the shared input and write their own cells, so
+      // shards pulling them in any order produce the same subtrees.
+      std::atomic<std::size_t> next{0};
+      pool->parallel_for(0, std::min(shards, subtrees.size()),
+                         [&](std::size_t) {
+                           IcebergScratch s;
+                           for (std::size_t i = next++; i < subtrees.size();
+                                i = next++) {
+                             run_subtree(subtrees[i], s);
+                           }
+                         });
     }
-    order = scratch.rows.data();
   }
 
-  VQ_SPAN("expand.accumulate");
-  out.keys.reserve(sn);
-  out.stats.reserve(sn);
-  out.src_map.resize(sn);
-  // Run-local accumulator: stats fold in registers and flush once per run,
-  // instead of a read-modify-write into the stats vector per source cell.
-  std::uint64_t prev = ~std::uint64_t{0};  // bit 63 of a packed key is 0
-  ClusterStats run;
-  for (std::size_t i = 0; i < sn; ++i) {
-    const std::uint64_t v = scratch.proj[i];
-    const std::uint32_t si =
-        order == nullptr ? static_cast<std::uint32_t>(i) : order[i];
-    if (v != prev) {
-      if (prev != ~std::uint64_t{0}) {
-        out.keys.push_back(prev);
-        out.stats.push_back(run);
-      }
-      prev = v;
-      run = src_stats[si];
-    } else {
-      run += src_stats[si];
+  VQ_SPAN("expand.index");
+  // Subtrees are ordered by dimension descending, then value ascending, so
+  // the subtrees holding mask m (highest dimension hb) are dimension hb's,
+  // [dim_end[hb + 1], dim_end[hb]), already in key order.
+  std::array<std::size_t, kNumDims + 1> dim_end{};
+  for (int d = kNumDims - 1; d >= 0; --d) {
+    std::size_t end = dim_end[static_cast<std::size_t>(d) + 1];
+    while (end < subtrees.size() && subtrees[end].dim == d) ++end;
+    dim_end[static_cast<std::size_t>(d)] = end;
+  }
+  const auto for_mask = [&](unsigned mask, auto&& fn) {
+    const int hb = std::bit_width(mask) - 1;
+    for (std::size_t i = dim_end[static_cast<std::size_t>(hb) + 1];
+         i < dim_end[static_cast<std::size_t>(hb)]; ++i) {
+      fn(subtrees[i].cells[mask - (1u << hb)]);
     }
-    // The open run's rank is the number of already-flushed runs.
-    out.src_map[si] = static_cast<std::uint32_t>(out.keys.size());
-  }
-  if (prev != ~std::uint64_t{0}) {
-    out.keys.push_back(prev);
-    out.stats.push_back(run);
-  }
-  return radix_bytes;
-}
+  };
 
-/// Concatenates the per-mask cell arrays into the canonical sorted-mode
-/// CellStore (mask-major, key-ascending) and returns each mask's dense-id
-/// base for the LeafCellIndex rank-composition pass.
-std::vector<std::uint32_t> assemble_mask_major(
-    const std::vector<std::uint8_t>& masks, std::vector<MaskCells>& cells,
-    EpochClusterTable& table) {
-  VQ_SPAN("expand.merge");
-  const std::size_t nm = masks.size();
+  // Concatenate the cells in canonical order, cutting each cell's
+  // (ascending) leaves at leaf-block boundaries: block b's pieces, in id
+  // order, are what the index build below needs for leaves of block b.
+  struct Piece {
+    const std::uint32_t* begin;
+    const std::uint32_t* end;
+    std::uint32_t id;
+    std::uint32_t mask;
+  };
   std::size_t total = 0;
-  for (const MaskCells& c : cells) total += c.keys.size();
-  assert(total < CellStore::kNoCell);
-
+  std::size_t entries = 0;
+  for (unsigned mask = 1; mask <= kFullMask; ++mask) {
+    for_mask(mask, [&](const MaskCells& c) {
+      total += c.keys.size();
+      entries += c.members.size();
+    });
+  }
+  std::vector<std::vector<Piece>> pieces((n + kIndexBlock - 1) / kIndexBlock);
+  std::array<std::uint32_t, kFullMask + 2> mask_offsets{};
   std::vector<std::uint64_t> keys;
   std::vector<ClusterStats> stats;
   keys.reserve(total);
   stats.reserve(total);
-  std::array<std::uint32_t, kFullMask + 2> offsets{};
-  std::vector<std::uint32_t> base(nm, 0);
-  std::size_t j = 0;
-  std::uint32_t running = 0;
-  for (unsigned mask = 0; mask <= kFullMask; ++mask) {
-    offsets[mask] = running;
-    if (j < nm && masks[j] == mask) {
-      base[j] = running;
-      keys.insert(keys.end(), cells[j].keys.begin(), cells[j].keys.end());
-      stats.insert(stats.end(), cells[j].stats.begin(), cells[j].stats.end());
-      running += static_cast<std::uint32_t>(cells[j].keys.size());
-      ++j;
+  for (unsigned mask = 1; mask <= kFullMask; ++mask) {
+    mask_offsets[mask] = static_cast<std::uint32_t>(keys.size());
+    for_mask(mask, [&](const MaskCells& c) {
+      auto id = static_cast<std::uint32_t>(keys.size());
+      std::uint32_t begin = 0;
+      for (const std::uint32_t end : c.member_end) {
+        const std::uint32_t* p = c.members.data() + begin;
+        const std::uint32_t* const last = c.members.data() + end;
+        while (p != last) {
+          const std::uint32_t b = *p / kIndexBlock;
+          const std::uint32_t* q =
+              last[-1] / kIndexBlock == b
+                  ? last
+                  : std::lower_bound(p, last, (b + 1) * kIndexBlock);
+          pieces[b].push_back({p, q, id, mask});
+          p = q;
+        }
+        begin = end;
+        ++id;
+      }
+      keys.insert(keys.end(), c.keys.begin(), c.keys.end());
+      stats.insert(stats.end(), c.stats.begin(), c.stats.end());
+    });
+  }
+  assert(keys.size() < CellStore::kNoCell);
+  mask_offsets[kFullMask + 1] = static_cast<std::uint32_t>(keys.size());
+
+  // The CSR index, one leaf block at a time so the block's slice of it
+  // stays in cache.  Pieces come in id order, so each leaf's ids land in
+  // ascending mask order.
+  LeafCellIndex& index = table.leaf_index;
+  index.projections.assign(n, MaskBits{});
+  index.offsets.assign(std::size_t{n} + 1, 0);
+  index.cell_ids.resize(entries);
+  std::vector<std::uint32_t> cursor(kIndexBlock);
+  for (std::uint32_t b = 0; b < pieces.size(); ++b) {
+    const std::uint32_t lo = b * kIndexBlock;
+    const std::uint32_t hi = std::min(n, lo + kIndexBlock);
+    for (const Piece& piece : pieces[b]) {
+      for (const std::uint32_t* p = piece.begin; p != piece.end; ++p) {
+        index.projections[*p].set(piece.mask);
+      }
+    }
+    for (std::uint32_t i = lo; i < hi; ++i) {
+      cursor[i - lo] = index.offsets[i];
+      index.offsets[i + 1] = index.offsets[i] +
+                             static_cast<std::uint32_t>(
+                                 index.projections[i].count());
+    }
+    for (const Piece& piece : pieces[b]) {
+      for (const std::uint32_t* p = piece.begin; p != piece.end; ++p) {
+        index.cell_ids[cursor[*p - lo]++] = piece.id;
+      }
     }
   }
-  offsets[kFullMask + 1] = running;
-  table.clusters =
-      CellStore::from_mask_major(std::move(keys), std::move(stats), offsets);
-  return base;
+  table.clusters = CellStore::from_mask_major(std::move(keys),
+                                              std::move(stats), mask_offsets);
 }
 
-/// The expansion, organised as a smallest-parent aggregation DAG: masks are
-/// processed tier by tier in decreasing arity, and each mask folds from the cheapest already-computed
-/// strict superset (one extra dim) instead of rescanning all leaves — the
-/// data-cube trick.  Top-tier masks (and masks whose supersets are all
-/// larger than the leaf array) fold straight from the leaves.  Sharding is
-/// within a tier: every mask is folded whole by exactly one shard, so there
-/// is no cross-shard merge or id remap and the output is independent of the
-/// deterministic greedy LPT assignment.  LeafCellIndex rows come out of a
-/// final rank-composition sweep: leaf -> full-mask rank is the leaf's own
-/// index, and each mask's rank is a single src_map gather from its source's
-/// rank, walked in topological (decreasing-arity) order per leaf.
-void expand_lattice(std::span<const std::uint64_t> leaf_keys,
-                    std::span<const ClusterStats> leaf_stats,
-                    const std::vector<std::uint8_t>& masks, BatchKernel kernel,
-                    EpochClusterTable& table, std::uint32_t* rows,
-                    ThreadPool* pool, std::size_t shards) {
-  const std::size_t num_leaves = leaf_keys.size();
-  const std::size_t nm = masks.size();
-
-  std::array<std::uint32_t, kFullMask + 1> index_of{};
-  index_of.fill(kLeafSource);
-  int max_arity = 0;
-  for (std::uint32_t j = 0; j < nm; ++j) {
-    index_of[masks[j]] = j;
-    max_arity = std::max(max_arity, std::popcount(unsigned{masks[j]}));
-  }
-
-  std::vector<MaskCells> cells(nm);
-  std::vector<std::uint64_t> cost(nm, 0);
-  std::vector<std::uint32_t> topo;  // decreasing arity, ascending mask
-  topo.reserve(nm);
-  std::uint64_t radix_bytes = 0;
-  const bool serial = pool == nullptr || shards <= 1 ||
-                      num_leaves < 2 * kMinLeavesPerShard;
-  ExpandScratch serial_scratch;
-
-  for (int arity = max_arity; arity >= 1; --arity) {
-    std::vector<std::uint32_t> tier;
-    for (std::uint32_t j = 0; j < nm; ++j) {
-      if (std::popcount(unsigned{masks[j]}) == arity) tier.push_back(j);
-    }
-    topo.insert(topo.end(), tier.begin(), tier.end());
-
-    // Source selection: cheapest of the leaves and every one-dim-larger
-    // superset aggregated in the previous tier.  Cell counts are data, not
-    // schedule, so the choice is deterministic at any shard/kernel count.
-    for (const std::uint32_t j : tier) {
-      const std::uint8_t mask = masks[j];
-      if (mask == kFullMask) continue;
-      cells[j].source = kLeafSource;
-      cost[j] = fold_cost(mask, kFullMask, num_leaves);
-      for (int d = 0; d < kNumDims; ++d) {
-        if ((mask >> d) & 1) continue;
-        const std::uint32_t js =
-            index_of[mask | static_cast<std::uint8_t>(1u << d)];
-        if (js == kLeafSource) continue;
-        const std::uint64_t c =
-            fold_cost(mask, masks[js], cells[js].keys.size());
-        if (c < cost[j]) {
-          cost[j] = c;
-          cells[j].source = js;
-        }
-      }
-    }
-
-    if (serial || tier.size() <= 1) {
-      for (const std::uint32_t j : tier) {
-        radix_bytes += expand_mask(j, masks, leaf_keys, leaf_stats, kernel,
-                                   cells, serial_scratch);
-      }
-      continue;
-    }
-    // Greedy LPT over the fold-cost estimates (sort descending cost,
-    // ascending index; assign to the least-loaded shard).
-    const std::size_t num_shards = std::min(shards, tier.size());
-    std::vector<std::uint32_t> order = tier;
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
-              });
-    std::vector<std::vector<std::uint32_t>> bucket(num_shards);
-    std::vector<std::uint64_t> load(num_shards, 0);
-    for (const std::uint32_t j : order) {
-      std::size_t best = 0;
-      for (std::size_t s = 1; s < num_shards; ++s) {
-        if (load[s] < load[best]) best = s;
-      }
-      bucket[best].push_back(j);
-      load[best] += cost[j];
-    }
-    // Tier masks only read cells[] written by earlier tiers and write
-    // disjoint cells[j] slots, so the parallel_for join is the only
-    // synchronisation needed.
-    std::vector<std::uint64_t> shard_bytes(num_shards, 0);
-    pool->parallel_for(0, num_shards, [&](std::size_t shard) {
-      ExpandScratch scratch;
-      for (const std::uint32_t j : bucket[shard]) {
-        shard_bytes[shard] += expand_mask(j, masks, leaf_keys, leaf_stats,
-                                          kernel, cells, scratch);
-      }
-    });
-    for (const std::uint64_t b : shard_bytes) radix_bytes += b;
-  }
-
-  const std::vector<std::uint32_t> base =
-      assemble_mask_major(masks, cells, table);
-
-  // Rank composition: one pass over the leaves, each mask's id gathered
-  // from its source's local rank through src_map, then the whole segment
-  // shifted to global dense ids.  The topo walk is split into three
-  // branch-free lists (full-mask / leaf-sourced / cell-sourced); list
-  // order preserves the topo guarantee that a source's slot is written
-  // before any mask that folds from it, because the full mask and every
-  // leaf-sourced mask depend only on `i`, and `children` keeps topo
-  // (decreasing-arity) order.
-  VQ_SPAN("expand.merge");
-  std::uint32_t full_j = kLeafSource;
-  std::vector<std::pair<std::uint32_t, const std::uint32_t*>> leaf_fed;
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, const std::uint32_t*>>
-      children;
-  for (const std::uint32_t jj : topo) {
-    const MaskCells& c = cells[jj];
-    if (masks[jj] == kFullMask) {
-      full_j = jj;
-    } else if (c.source == kLeafSource) {
-      leaf_fed.emplace_back(jj, c.src_map.data());
-    } else {
-      children.emplace_back(jj, c.source, c.src_map.data());
+/// Copies the fold's leaves into `index` in canonical order — ascending raw
+/// key, which fixes the iteration order of every downstream per-leaf sweep
+/// independent of hash-table layout and shard count — and fills the
+/// iceberg input's per-leaf sessions and value spans.
+void sort_leaves(const LeafFold& fold, LeafCellIndex& index,
+                 IcebergInput& in) {
+  VQ_SPAN("expand.sort_leaves");
+  std::vector<std::pair<std::uint64_t, const ClusterStats*>> sorted;
+  sorted.reserve(fold.leaves.size());
+  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& s) {
+    sorted.emplace_back(raw, &s);
+  });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  index.leaf_keys.reserve(sorted.size());
+  index.leaf_stats.reserve(sorted.size());
+  in.sessions.reserve(sorted.size());
+  for (const auto& [raw, stats] : sorted) {
+    index.leaf_keys.push_back(raw);
+    index.leaf_stats.push_back(*stats);
+    in.sessions.push_back(stats->sessions);
+    for (std::size_t d = 0; d < in.span.size(); ++d) {
+      const auto v =
+          static_cast<std::uint32_t>((raw & kDimFieldBits[d]) >> kDimShift[d]);
+      in.span[d] = std::max(in.span[d], v + 1);
     }
   }
-  const auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      std::uint32_t* seg = rows + i * nm;
-      if (full_j != kLeafSource) {
-        seg[full_j] = static_cast<std::uint32_t>(i);
-      }
-      for (const auto& [jj, map] : leaf_fed) seg[jj] = map[i];
-      for (const auto& [jj, src, map] : children) seg[jj] = map[seg[src]];
-      for (std::size_t t = 0; t < nm; ++t) seg[t] += base[t];
-    }
-  };
-  if (serial) {
-    fill(0, num_leaves);
-  } else {
-    pool->parallel_for(0, shards, [&](std::size_t shard) {
-      fill(num_leaves * shard / shards,
-           num_leaves * (shard + 1) / shards);
-    });
-  }
-  expand_metrics().radix_bytes.add(radix_bytes);
 }
 
 }  // namespace
 
+std::uint64_t lattice_field_mask(std::uint8_t mask) noexcept {
+  return kFieldMaskTable[mask & kFullMask];
+}
+
 EpochClusterTable expand_fold(const LeafFold& fold,
                               const ClusterEngineConfig& config,
-                              ThreadPool* pool, std::size_t shards) {
-  const std::vector<std::uint8_t> masks = lattice_masks(config.max_arity);
-
+                              ThreadPool* pool, std::size_t shards,
+                              std::uint32_t floor) {
+  if (config.max_arity < 1 || config.max_arity > kNumDims) {
+    throw std::invalid_argument{"expand_fold: max_arity out of range"};
+  }
   EpochClusterTable table;
   table.epoch = fold.epoch;
   table.root = fold.root;
+  table.floor = floor;
 
-  // Canonical leaf order: ascending raw key.  This fixes the dense-id
-  // assignment and the iteration order of every downstream per-leaf sweep,
-  // independent of hash-table layout and shard count.
-  std::vector<std::pair<std::uint64_t, const ClusterStats*>> sorted_leaves;
-  sorted_leaves.reserve(fold.leaves.size());
-  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& s) {
-    sorted_leaves.emplace_back(raw, &s);
-  });
-  std::sort(sorted_leaves.begin(), sorted_leaves.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // SoA copies: the kernels batch over contiguous key/stat arrays, which
-  // are stored on the table as the LeafCellIndex anyway.
   LeafCellIndex& index = table.leaf_index;
-  index.leaf_keys.reserve(sorted_leaves.size());
-  index.leaf_stats.reserve(sorted_leaves.size());
-  for (const auto& [raw, stats] : sorted_leaves) {
-    index.leaf_keys.push_back(raw);
-    index.leaf_stats.push_back(*stats);
-  }
-  index.masks = masks;
-  index.cell_rows.resize(index.leaf_keys.size() * masks.size());
-  expand_lattice(index.leaf_keys, index.leaf_stats, masks,
-                 config.expand_kernel, table, index.cell_rows.data(), pool,
-                 shards);
+  IcebergInput in;
+  sort_leaves(fold, index, in);
+  in.keys = index.leaf_keys;
+  in.stats = index.leaf_stats;
+  in.floor = floor;
+  in.max_arity = config.max_arity;
+  build_iceberg(in, table, pool, shards);
 
   ExpandMetrics& metrics = expand_metrics();
   metrics.leaves.add(static_cast<std::uint64_t>(index.leaf_keys.size()));

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
@@ -13,22 +14,6 @@ namespace vq {
 namespace {
 
 constexpr int kNumMasks = kFullMask + 1;  // 128 subsets incl. root
-
-/// 128-bit bitset over the subset lattice; bit index is the mask value.
-struct MaskBits {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  void set(unsigned m) noexcept {
-    (m < 64 ? lo : hi) |= std::uint64_t{1} << (m & 63);
-  }
-  [[nodiscard]] bool test(unsigned m) const noexcept {
-    return ((m < 64 ? lo : hi) >> (m & 63)) & 1u;
-  }
-  [[nodiscard]] bool any() const noexcept { return (lo | hi) != 0; }
-
-  friend bool operator==(const MaskBits&, const MaskBits&) = default;
-};
 
 /// kDimAbsent[d] selects, within one 64-bit word, the mask values whose
 /// dimension-d bit is clear. Dimension 6 needs no pattern: its bit weight is
@@ -129,9 +114,11 @@ struct LeafScratch {
   std::vector<std::uint8_t> masks;
 };
 
-/// Candidate evaluation for one leaf: gathers the leaf's precomputed
-/// projection cell ids and flag bits, then applies conditions (a)/(b) with
-/// 128-bit bit tricks and (c)/minimality on the gathered stats.
+/// Candidate evaluation for one leaf: gathers the ids and flag bits of the
+/// leaf's materialised projections, then applies conditions (a)/(b) with
+/// 128-bit bit tricks and (c)/minimality on the gathered stats.  Exact when
+/// the table's floor is at most params.min_sessions: every significant
+/// projection, and every ancestor of a flagged one, is then materialised.
 /// Returns whether any projection is a problem cluster; minimal candidate
 /// masks land in scratch.masks (ascending).
 bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
@@ -139,19 +126,19 @@ bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
                              const ProblemClusterParams& params,
                              double global, Metric metric,
                              LeafScratch& scratch) {
-  const std::span<const std::uint32_t> row = index.row(leaf);
+  const std::span<const std::uint32_t> ids = index.ids(leaf);
   MaskBits flagged;
   MaskBits significant;
-  for (std::size_t j = 0; j < index.masks.size(); ++j) {
-    const unsigned mask = index.masks[j];
-    const std::uint32_t id = row[j];
+  std::size_t k = 0;
+  index.projections[leaf].for_each([&](unsigned mask) {
+    const std::uint32_t id = ids[k++];
     scratch.stats_by_mask[mask] = &cells.cell(id);
     scratch.id_by_mask[mask] = id;
     if (flags.test_significant(id)) {
       significant.set(mask);
       if (flags.test_flagged(id)) flagged.set(mask);
     }
-  }
+  });
   scratch.masks.clear();
   if (!flagged.any()) return false;  // (a) can never hold
 
@@ -162,25 +149,32 @@ bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
   const MaskBits veto = strict_superset_or(bad);
 
   scratch.raw_candidates.clear();
-  for (const std::uint8_t mask : index.masks) {
-    if (!flagged.test(mask) || veto.test(mask)) continue;
-
+  flagged.for_each([&](unsigned mask) {
+    if (veto.test(mask)) return;
     // (c) removing this cluster's sessions un-flags every proper ancestor.
     const ClusterStats& m_stats = *scratch.stats_by_mask[mask];
-    bool down_ok = true;
-    const unsigned mu = mask;
-    for (unsigned a = (mu - 1) & mu; a != 0; a = (a - 1) & mu) {
+    for (unsigned a = (mask - 1) & mask; a != 0; a = (a - 1) & mask) {
       const ClusterStats remaining =
           scratch.stats_by_mask[a]->minus(m_stats);
-      if (is_problem_cluster(remaining, global, params, metric)) {
-        down_ok = false;
-        break;
-      }
+      if (is_problem_cluster(remaining, global, params, metric)) return;
     }
-    if (down_ok) scratch.raw_candidates.push_back(mask);
-  }
+    scratch.raw_candidates.push_back(static_cast<std::uint8_t>(mask));
+  });
   filter_minimal(scratch.raw_candidates, scratch.masks);
   return true;
+}
+
+/// The extraction is exact only over the cells a table keeps; a table
+/// built above the significance floor has dropped cells that can matter.
+void require_floor_within(const EpochClusterTable& table,
+                          const ProblemClusterParams& params,
+                          const char* caller) {
+  if (table.floor > params.min_sessions) {
+    throw std::invalid_argument{
+        std::string{caller} + ": the table was built at floor " +
+        std::to_string(table.floor) + ", above min_sessions " +
+        std::to_string(params.min_sessions)};
+  }
 }
 
 /// The indexed extraction over a table built by expand_fold.
@@ -278,6 +272,7 @@ CriticalAnalysis find_critical_clusters(const LeafFold& fold,
         "find_critical_clusters: the table was not expanded from this fold "
         "(build it with expand_fold)"};
   }
+  require_floor_within(table, params, "find_critical_clusters");
   return extract_criticals(table, params, metric, pool, shards);
 }
 
@@ -294,6 +289,7 @@ CriticalAnalysis find_critical_clusters(std::span<const Session> sessions,
 std::vector<std::vector<std::uint8_t>> leaf_critical_masks(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric) {
+  require_floor_within(table, params, "leaf_critical_masks");
   const CellFlags flags = compute_cell_flags(table, params, metric);
   const LeafCellIndex& index = table.leaf_index;
   const double global = table.global_ratio(metric);
@@ -315,7 +311,7 @@ EpochAnalyses analyze_epoch(const LeafFold& fold,
                             ThreadPool* pool, std::size_t shards) {
   const EpochClusterTable lattice = [&] {
     VQ_SPAN_EPOCH("pipeline.expand_lattice", fold.epoch);
-    return expand_fold(fold, engine, pool, shards);
+    return expand_fold(fold, engine, pool, shards, params.min_sessions);
   }();
   EpochAnalyses analyses;
   for (const Metric m : kAllMetrics) {

@@ -25,12 +25,15 @@
 // *distinct* leaves, each weighted by its problem-session count — not over
 // raw sessions.
 //
-// The extraction is indexed: per-metric flag bitsets are precomputed once
+// The extraction is indexed and runs over the iceberg table expand_fold
+// builds (cluster_engine.h): per-metric flag bitsets are precomputed once
 // over the table's contiguous cell vector (compute_cell_flags), and each
-// leaf's sweep gathers its precomputed projection cell ids from the
-// LeafCellIndex — zero hash lookups and zero repeated threshold evaluations
-// in the inner loop; conditions (a)/(b) collapse to 128-bit
-// subset/superset bit tricks.  The per-leaf loop can shard across a
+// leaf's sweep gathers the cell ids of its materialised projections from
+// the LeafCellIndex — zero hash lookups and zero repeated threshold
+// evaluations in the inner loop; conditions (a)/(b) collapse to 128-bit
+// subset/superset bit tricks.  Cells below the table's floor are never
+// read, which is exact when the floor is at most min_sessions: every
+// significant cell, and every ancestor of a problem cluster, reaches it.  The per-leaf loop can shard across a
 // ThreadPool: shards take contiguous ranges of the canonical
 // (ascending-key) leaf array and their share lists are replayed in shard
 // order, reproducing the serial floating-point accumulation sequence
@@ -99,9 +102,10 @@ struct CriticalAnalysis {
 /// Runs the phase-transition algorithm for one epoch and metric over a
 /// table built by expand_fold.  `fold` must be the pass-1 fold the table
 /// was expanded from (throws std::invalid_argument when its epoch or root
-/// disagrees); the table's LeafCellIndex carries everything else the sweep
-/// reads.  With `pool` non-null and `shards > 1` the per-leaf loop runs
-/// sharded.
+/// disagrees), and the table's floor must not exceed params.min_sessions
+/// (std::invalid_argument otherwise); the table's LeafCellIndex carries
+/// everything else the sweep reads.  With `pool` non-null and `shards > 1`
+/// the per-leaf loop runs sharded.
 [[nodiscard]] CriticalAnalysis find_critical_clusters(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric,
@@ -117,7 +121,9 @@ struct CriticalAnalysis {
 
 /// Minimal critical candidate masks (ascending) of every distinct leaf of
 /// the table, parallel to table.leaf_index.leaf_keys.  Leaves without a
-/// problem session for `metric` get an empty list.  For analyses that
+/// problem session for `metric` get an empty list.  Throws
+/// std::invalid_argument when the table's floor exceeds
+/// params.min_sessions.  For analyses that
 /// weight each problem session by something other than a unit count
 /// (engagement.h).
 [[nodiscard]] std::vector<std::vector<std::uint8_t>> leaf_critical_masks(
@@ -128,8 +134,9 @@ struct CriticalAnalysis {
 using EpochAnalyses = std::array<CriticalAnalysis, kNumMetrics>;
 
 /// The per-epoch engine shared by run_pipeline, run_pipeline_streaming and
-/// StreamingDetector::ingest: expands `fold` into its lattice, runs the
-/// extraction for every metric, and drops the lattice.  `pool`/`shards`
+/// StreamingDetector::ingest: expands `fold` into its iceberg at
+/// params.min_sessions, runs the extraction for every metric, and drops
+/// the table.  `pool`/`shards`
 /// parallelise both stages; results do not depend on them.
 [[nodiscard]] EpochAnalyses analyze_epoch(const LeafFold& fold,
                                           const ClusterEngineConfig& engine,

@@ -66,8 +66,12 @@ EngagementWhatIf::EngagementWhatIf(const SessionTable& table,
   const PipelineConfig& config = result.config;
   for (std::uint32_t epoch = 0; epoch < result.num_epochs; ++epoch) {
     const std::span<const Session> sessions = table.epoch(epoch);
-    const EpochClusterTable lattice = aggregate_epoch(
-        sessions, config.thresholds, config.engine, epoch);
+    // Only candidate cells are read, and every candidate is significant,
+    // so the iceberg at min_sessions holds all of them.
+    const EpochClusterTable lattice =
+        expand_fold(fold_sessions(sessions, config.thresholds, epoch),
+                    config.engine, nullptr, 1,
+                    config.cluster_params.min_sessions);
     const std::span<const std::uint64_t> leaf_keys =
         lattice.leaf_index.leaf_keys;
 

@@ -232,9 +232,8 @@ class StreamingDetector {
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
   /// params, engine.max_arity, escalate_after, order policy).
-  /// engine.expand_kernel and workers are excluded: every kernel and shard
-  /// count yields bit-identical analyses (differential-tested), so those
-  /// may differ across a save/restore.
+  /// workers is excluded: every shard count yields bit-identical analyses
+  /// (differential-tested), so it may differ across a save/restore.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 

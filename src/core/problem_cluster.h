@@ -42,7 +42,8 @@ struct ProblemCluster {
 };
 
 /// Extracts every problem cluster of one epoch for the given metric
-/// (dense-id order).
+/// (dense-id order).  Complete when the table's floor is at most
+/// params.min_sessions, since every problem cluster is significant.
 [[nodiscard]] std::vector<ProblemCluster> find_problem_clusters(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric);

@@ -1,6 +1,7 @@
 // The naive per-epoch oracle every differential suite checks production
 // against: the paper's §3.1 lattice and §3.2 phase-transition rule written
-// the obvious way (docs/METHOD.md §2–3).  Cells live in ordered maps and
+// the obvious way (docs/METHOD.md §2–3).  It always builds the full
+// lattice; production's iceberg is compared with Lattice::iceberg.  Cells live in ordered maps and
 // are built by one bump per (session or leaf, mask); the candidate rule is
 // checked condition by condition with plain loops over a leaf's 128-mask
 // cone.  Nothing here is shared with src/ beyond the data types and the
@@ -44,6 +45,15 @@ struct Lattice {
       const auto m = static_cast<std::uint8_t>(mask);
       cells[ClusterKey::from_raw(leaf).project(m).raw()] += s;
     }
+  }
+
+  /// The iceberg at `floor`: this lattice without the cells whose session
+  /// count is below it (the root and leaves are kept).
+  [[nodiscard]] Lattice iceberg(std::uint32_t floor) const {
+    Lattice out = *this;
+    std::erase_if(out.cells,
+                  [&](const auto& cell) { return cell.second.sessions < floor; });
+    return out;
   }
 
   /// Counters of every mask's projection of `leaf` (index = mask; zeros

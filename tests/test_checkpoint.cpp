@@ -267,16 +267,12 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // Parallelism and the expand kernel are differential-tested
-  // bit-identical, so they may legitimately change across a save/restore.
+  // Parallelism is differential-tested bit-identical, so it may
+  // legitimately change across a save/restore.
   MonitorConfig parallel = base;
   parallel.workers = 4;
-  MonitorConfig scalar = base;
-  scalar.engine.expand_kernel = BatchKernel::kScalar;
-  for (const MonitorConfig& same : {parallel, scalar}) {
-    EXPECT_EQ(StreamingDetector::config_fingerprint(base),
-              StreamingDetector::config_fingerprint(same));
-  }
+  EXPECT_EQ(StreamingDetector::config_fingerprint(base),
+            StreamingDetector::config_fingerprint(parallel));
 }
 
 TEST(Checkpoint, V2RoundTripsStreakRegistry) {

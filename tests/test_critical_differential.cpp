@@ -3,7 +3,8 @@
 // sharded) must reproduce the oracle's straight-line §3.2 analysis
 // (tests/oracle.h) bit for bit — criticals (same order), attribution
 // doubles, problem_cluster_keys, and problem_sessions_in_pc — at arity caps
-// {1, 2, 7} and shard counts {1, 4}.
+// {1, 2, 7} and shard counts {1, 4}, from the full lattice and from the
+// iceberg at min_sessions.
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,55 @@ TEST(CriticalDifferential, AnalyzeEpochMatchesOracle) {
     test::expect_same_analysis(oracle::critical(lattice, kParams, m),
                                got[static_cast<std::uint8_t>(m)]);
   }
+}
+
+TEST_P(CriticalDifferential, IcebergMatchesFullLatticeBitForBit) {
+  // The table analyze_epoch builds (floor = min_sessions) and the full
+  // lattice (floor 1) must give the same analyses and candidate sets.
+  const std::span<const Session> sessions =
+      test::dense_epoch_trace().epoch(0);
+  ClusterEngineConfig config;
+  config.max_arity = GetParam();
+  const LeafFold fold = fold_sessions(sessions, ProblemThresholds{}, 0);
+  const EpochClusterTable full = expand_fold(fold, config);
+  const EpochClusterTable iceberg =
+      expand_fold(fold, config, nullptr, 1, kParams.min_sessions);
+  // Every arity-1 cell of this world is significant; beyond that the
+  // iceberg must drop cells for the comparison to mean anything.
+  if (GetParam() > 1) {
+    ASSERT_LT(iceberg.clusters.size(), full.clusters.size());
+  }
+  ThreadPool pool{4};
+  const EpochAnalyses engine = analyze_epoch(fold, config, kParams, &pool, 4);
+  for (const Metric m : kAllMetrics) {
+    const CriticalAnalysis want =
+        find_critical_clusters(fold, full, kParams, m);
+    test::expect_same_analysis(
+        want, find_critical_clusters(fold, iceberg, kParams, m));
+    test::expect_same_analysis(want, engine[static_cast<std::uint8_t>(m)]);
+    EXPECT_EQ(leaf_critical_masks(full, kParams, m),
+              leaf_critical_masks(iceberg, kParams, m));
+  }
+}
+
+TEST(CriticalDifferential, RejectsTableAboveTheSignificanceFloor) {
+  // A table built above min_sessions has dropped cells that can veto or be
+  // ancestors; analysing it would be silently wrong.
+  const LeafFold fold =
+      fold_sessions(test::dense_epoch_trace().epoch(0), ProblemThresholds{}, 0);
+  const EpochClusterTable table =
+      expand_fold(fold, {}, nullptr, 1, kParams.min_sessions + 1);
+  EXPECT_THROW(
+      (void)find_critical_clusters(fold, table, kParams, Metric::kBufRatio),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)leaf_critical_masks(table, kParams, Metric::kBufRatio),
+      std::invalid_argument);
+  // At the floor itself the table is exact.
+  const EpochClusterTable at_floor =
+      expand_fold(fold, {}, nullptr, 1, kParams.min_sessions);
+  EXPECT_NO_THROW(
+      (void)find_critical_clusters(fold, at_floor, kParams, Metric::kBufRatio));
 }
 
 TEST(CriticalDifferential, RejectsTableNotExpandedFromFold) {

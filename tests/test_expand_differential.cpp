@@ -1,11 +1,11 @@
-// Differential tests for the mask-major hash-free lattice expansion: on the
-// same leaf fold, the expansion (serial, sharded, SIMD and scalar kernels)
-// must reproduce the oracle's cell contents (tests/oracle.h) bit for bit,
-// with a dense-id layout that is canonical (mask-major, key-ascending) and
-// invariant across shard counts and kernel variants — over arity caps
-// {1, 2, 7}, shard counts {1, 4}, and adversarial folds.  Also unit-covers
-// the expand_kernels.h batch kernels against their scalar ground truth
-// (ClusterKey::project, std::stable_sort) and the CellStore contract.
+// Differential tests for the iceberg lattice expansion: on the same leaf
+// fold, the expansion (serial and sharded) must reproduce the oracle's
+// lattice (tests/oracle.h) filtered at the floor, bit for bit, with a
+// dense-id layout that is canonical (mask-major, key-ascending) and
+// invariant across shard counts — over arity caps {1, 2, 7}, shard counts
+// {1, 4}, floors from 0 to above the root, and adversarial folds.  A floor
+// of 1 is the full lattice.  Also covers the per-leaf projection index and
+// the CellStore contract.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,7 +21,6 @@
 
 #include "src/core/attributes.h"
 #include "src/core/cluster_engine.h"
-#include "src/core/expand_kernels.h"
 #include "src/core/pipeline.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -72,60 +70,112 @@ void expect_ids_round_trip(const CellStore& store) {
 }
 
 /// Identical arrays, id for id — the layout-invariance contract between two
-/// runs with different shard counts / kernels.
+/// runs with different shard counts.
 void expect_tables_elementwise_equal(const EpochClusterTable& expected,
                                      const EpochClusterTable& actual) {
   EXPECT_EQ(expected.root, actual.root);
+  EXPECT_EQ(expected.floor, actual.floor);
   ASSERT_EQ(expected.clusters.size(), actual.clusters.size());
   for (std::uint32_t id = 0; id < expected.clusters.size(); ++id) {
     ASSERT_EQ(expected.clusters.key(id), actual.clusters.key(id)) << id;
     ASSERT_EQ(expected.clusters.cell(id), actual.clusters.cell(id)) << id;
   }
-  EXPECT_EQ(expected.leaf_index.masks, actual.leaf_index.masks);
   EXPECT_EQ(expected.leaf_index.leaf_keys, actual.leaf_index.leaf_keys);
   EXPECT_EQ(expected.leaf_index.leaf_stats, actual.leaf_index.leaf_stats);
-  EXPECT_EQ(expected.leaf_index.cell_rows, actual.leaf_index.cell_rows);
+  EXPECT_EQ(expected.leaf_index.projections, actual.leaf_index.projections);
+  EXPECT_EQ(expected.leaf_index.offsets, actual.leaf_index.offsets);
+  EXPECT_EQ(expected.leaf_index.cell_ids, actual.leaf_index.cell_ids);
 }
 
-/// Every LeafCellIndex row slot must point at the cell whose key is that
-/// leaf's projection — the meaning of the index.
-void expect_index_rows_valid(const EpochClusterTable& table) {
+/// The meaning of the index: a leaf lists mask m exactly when its
+/// projection onto m is a cell of the table, and the id listed for it (in
+/// ascending mask order) is that cell's.
+void expect_index_valid(const EpochClusterTable& table) {
   const LeafCellIndex& index = table.leaf_index;
+  ASSERT_EQ(index.projections.size(), index.num_leaves());
+  ASSERT_EQ(index.offsets.size(), index.num_leaves() + 1);
+  ASSERT_EQ(index.offsets.back(), index.cell_ids.size());
   for (std::size_t leaf = 0; leaf < index.num_leaves(); ++leaf) {
     const ClusterKey key = ClusterKey::from_raw(index.leaf_keys[leaf]);
-    const std::span<const std::uint32_t> row = index.row(leaf);
-    for (std::size_t j = 0; j < index.masks.size(); ++j) {
-      ASSERT_LT(row[j], table.clusters.size());
-      ASSERT_EQ(table.clusters.key(row[j]),
-                key.project(index.masks[j]).raw())
-          << "leaf " << leaf << " mask " << int{index.masks[j]};
+    const std::span<const std::uint32_t> ids = index.ids(leaf);
+    ASSERT_EQ(ids.size(),
+              static_cast<std::size_t>(index.projections[leaf].count()));
+    std::size_t k = 0;
+    for (unsigned mask = 1; mask <= kFullMask; ++mask) {
+      const std::uint32_t id = table.clusters.id_of(
+          key.project(static_cast<std::uint8_t>(mask)).raw());
+      ASSERT_EQ(index.projections[leaf].test(mask), id != CellStore::kNoCell)
+          << "leaf " << leaf << " mask " << mask;
+      if (id != CellStore::kNoCell) {
+        ASSERT_EQ(ids[k++], id) << "leaf " << leaf << " mask " << mask;
+      }
     }
   }
 }
 
-/// Full oracle differential for one fold at one arity cap: serial and
-/// sharded runs, SIMD and scalar kernels.
-void run_differential(const LeafFold& fold, int arity) {
-  SCOPED_TRACE("arity " + std::to_string(arity));
+/// Full oracle differential for one fold at one arity cap and floor:
+/// serial and sharded runs.
+void run_differential(const LeafFold& fold, int arity,
+                      const oracle::Lattice& want, std::uint32_t floor) {
+  SCOPED_TRACE("arity " + std::to_string(arity) + ", floor " +
+               std::to_string(floor));
   ClusterEngineConfig config;
   config.max_arity = arity;
 
-  const EpochClusterTable table = expand_fold(fold, config);
-  test::expect_same_cells(oracle::lattice(fold, arity), table);
+  const EpochClusterTable table = expand_fold(fold, config, nullptr, 1, floor);
+  EXPECT_EQ(table.floor, floor);
+  test::expect_same_cells(want.iceberg(floor), table);
   expect_canonical_layout(table.clusters);
   expect_ids_round_trip(table.clusters);
-  expect_index_rows_valid(table);
-
-  ClusterEngineConfig scalar_config = config;
-  scalar_config.expand_kernel = BatchKernel::kScalar;
-  expect_tables_elementwise_equal(table, expand_fold(fold, scalar_config));
+  expect_index_valid(table);
 
   ThreadPool pool{4};
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    expect_tables_elementwise_equal(table,
-                                    expand_fold(fold, config, &pool, shards));
+    expect_tables_elementwise_equal(
+        table, expand_fold(fold, config, &pool, shards, floor));
   }
+}
+
+/// The full lattice: floor 1.
+void run_differential(const LeafFold& fold, int arity) {
+  run_differential(fold, arity, oracle::lattice(fold, arity), 1);
+}
+
+/// Floors 0, 1, 2, one drawn at random below the root, the root's own
+/// session count and one above it.
+std::vector<std::uint32_t> property_floors(const LeafFold& fold,
+                                           Xoshiro256ss& rng) {
+  const std::uint32_t root = fold.root.sessions;
+  return {0, 1, 2,
+          3 + static_cast<std::uint32_t>(rng.below(std::max(root, 1u))),
+          root, root + 1};
+}
+
+/// A random fold: `leaves` leaves over small value ranges in most
+/// dimensions (so cells share leaves) and a wide ASN range (so partitions
+/// take both the counting and the comparison-sort paths).
+LeafFold random_fold(Xoshiro256ss& rng, std::size_t leaves) {
+  LeafFold fold;
+  for (std::size_t i = 0; i < leaves; ++i) {
+    AttrVec attrs;
+    attrs[AttrDim::kSite] = static_cast<std::uint16_t>(rng.below(40));
+    attrs[AttrDim::kCdn] = static_cast<std::uint16_t>(rng.below(4));
+    attrs[AttrDim::kAsn] = static_cast<std::uint16_t>(
+        rng.below(2) == 0 ? rng.below(6) : rng.below(60'000));
+    attrs[AttrDim::kConnType] = static_cast<std::uint16_t>(rng.below(3));
+    attrs[AttrDim::kPlayer] = static_cast<std::uint16_t>(rng.below(3));
+    attrs[AttrDim::kBrowser] = static_cast<std::uint16_t>(rng.below(5));
+    attrs[AttrDim::kVodLive] = static_cast<std::uint16_t>(rng.below(2));
+    ClusterStats s;
+    s.sessions = 1 + static_cast<std::uint32_t>(rng.below(30));
+    for (auto& p : s.problems) {
+      p = static_cast<std::uint32_t>(rng.below(s.sessions + 1));
+    }
+    fold.leaves[ClusterKey::pack(kFullMask, attrs).raw()] += s;
+    fold.root += s;
+  }
+  return fold;
 }
 
 class ExpandDifferential : public ::testing::TestWithParam<int> {};
@@ -138,13 +188,38 @@ TEST_P(ExpandDifferential, GeneratedTrace) {
   run_differential(fold, GetParam());
 }
 
+TEST_P(ExpandDifferential, IcebergMatchesFilteredOracle) {
+  // Property: across floors, no cell below the floor is emitted and none
+  // at or above it is missed, stats included — on random folds and on a
+  // generated epoch.
+  Xoshiro256ss rng{static_cast<std::uint64_t>(GetParam()) * 7919};
+  std::vector<LeafFold> folds;
+  for (const std::size_t leaves : {1u, 37u, 700u, 3000u}) {
+    folds.push_back(random_fold(rng, leaves));
+  }
+  folds.push_back(
+      fold_sessions(test::dense_epoch_trace().epoch(0), ProblemThresholds{},
+                    0));
+  for (const LeafFold& fold : folds) {
+    const oracle::Lattice want = oracle::lattice(fold, GetParam());
+    for (const std::uint32_t floor : property_floors(fold, rng)) {
+      run_differential(fold, GetParam(), want, floor);
+    }
+    // Floors 0 and 1 are both the full lattice.
+    ClusterEngineConfig config;
+    config.max_arity = GetParam();
+    EXPECT_EQ(expand_fold(fold, config, nullptr, 1, 0).clusters.size(),
+              want.cells.size());
+  }
+}
+
 TEST_P(ExpandDifferential, EmptyFold) {
   const LeafFold fold;
   run_differential(fold, GetParam());
   const EpochClusterTable table = expand_fold(fold, {});
   EXPECT_EQ(table.clusters.size(), 0u);
   EXPECT_TRUE(table.leaf_index.leaf_keys.empty());
-  EXPECT_FALSE(table.leaf_index.masks.empty());
+  EXPECT_EQ(table.leaf_index.offsets, std::vector<std::uint32_t>{0});
 }
 
 TEST_P(ExpandDifferential, SingleLeaf) {
@@ -175,9 +250,9 @@ TEST_P(ExpandDifferential, AllLeavesProjectToOneCellOffSite) {
 }
 
 TEST_P(ExpandDifferential, LeavesDifferOnlyInHighestAttribute) {
-  // The VoD/Live dimension occupies the most significant key bits; keys
-  // differing only there stress the top radix digit and the run boundaries
-  // of every mask that drops it.
+  // The VoD/Live dimension occupies the most significant key bits and is
+  // partitioned first; keys differing only there split the top level and
+  // share every cell of every mask that drops it.
   std::vector<std::pair<AttrVec, ClusterStats>> leaves;
   for (std::uint16_t vod = 0; vod <= dim_capacity(AttrDim::kVodLive);
        ++vod) {
@@ -222,107 +297,6 @@ TEST(ExpandKernels, FieldMaskMatchesDimFieldTable) {
     }
     EXPECT_EQ(lattice_field_mask(static_cast<std::uint8_t>(mask)), expected)
         << mask;
-  }
-}
-
-TEST(ExpandKernels, ProjectMatchesClusterKeyProject) {
-  // 1027 leaves (odd, to exercise the SIMD tails) over the full id ranges.
-  Xoshiro256ss rng{42};
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 1027; ++i) {
-    AttrVec attrs;
-    for (int d = 0; d < kNumDims; ++d) {
-      attrs.v[static_cast<std::size_t>(d)] = static_cast<std::uint16_t>(
-          rng() % (dim_capacity(static_cast<AttrDim>(d)) + 1u));
-    }
-    keys.push_back(ClusterKey::pack(kFullMask, attrs).raw());
-  }
-  std::vector<std::uint64_t> got_auto(keys.size());
-  std::vector<std::uint64_t> got_scalar(keys.size());
-  for (unsigned mask = 1; mask <= kFullMask; ++mask) {
-    const auto m = static_cast<std::uint8_t>(mask);
-    project_keys(keys.data(), keys.size(), m, got_auto.data(),
-                 BatchKernel::kAuto);
-    project_keys(keys.data(), keys.size(), m, got_scalar.data(),
-                 BatchKernel::kScalar);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const std::uint64_t expected =
-          ClusterKey::from_raw(keys[i]).project(m).raw();
-      ASSERT_EQ(got_auto[i], expected) << "mask " << mask << " i " << i;
-      ASSERT_EQ(got_scalar[i], expected) << "mask " << mask << " i " << i;
-    }
-  }
-}
-
-TEST(ExpandKernels, ChainHeadFillsBelowLowestDimension) {
-  EXPECT_EQ(chain_head(0b0000001), 0b0000001);
-  EXPECT_EQ(chain_head(0b1000000), kFullMask);
-  EXPECT_EQ(chain_head(0b0110000), 0b0111111);
-  EXPECT_EQ(chain_head(0b1000100), 0b1000111);
-  for (unsigned mask = 1; mask <= kFullMask; ++mask) {
-    const std::uint8_t head = chain_head(static_cast<std::uint8_t>(mask));
-    // The head extends the mask with exactly the dims below its lowest bit.
-    EXPECT_EQ(head & mask, mask);
-    EXPECT_EQ(head, mask | ((1u << std::countr_zero(mask)) - 1u));
-    // Heads are fixed points: grouping by head never cascades.
-    EXPECT_EQ(chain_head(head), head);
-  }
-}
-
-TEST(ExpandKernels, RadixPlanCoversExactlyOccupiedDigits) {
-  // Site occupies key bits 7-18: byte windows 0, 1, 2.
-  const RadixPlan site = radix_plan(dim_bit(AttrDim::kSite));
-  ASSERT_EQ(site.passes, 3);
-  EXPECT_EQ(site.shifts[0], 0);
-  EXPECT_EQ(site.shifts[1], 8);
-  EXPECT_EQ(site.shifts[2], 16);
-  // VoD/Live occupies bits 53-54: byte window 6 only.
-  const RadixPlan vod = radix_plan(dim_bit(AttrDim::kVodLive));
-  ASSERT_EQ(vod.passes, 1);
-  EXPECT_EQ(vod.shifts[0], 48);
-  // The full key spans bytes 0-6; byte 7 is always constant (bit 63 clear).
-  const RadixPlan full = radix_plan(kFullMask);
-  EXPECT_EQ(full.passes, 7);
-}
-
-TEST(ExpandKernels, RadixSortMatchesStableSort) {
-  Xoshiro256ss rng{7};
-  for (const std::size_t n : {0u, 1u, 2u, 255u, 4096u}) {
-    std::vector<std::uint64_t> keys(n);
-    std::vector<std::uint32_t> rows(n);
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> expected(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Duplicate-heavy keys under the full-mask plan's digit span.
-      keys[i] = (rng() % 4096) << kNumDims;
-      rows[i] = static_cast<std::uint32_t>(i);
-      expected[i] = {keys[i], rows[i]};
-    }
-    std::stable_sort(
-        expected.begin(), expected.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    const RadixPlan plan = radix_plan(kFullMask);
-    std::vector<std::uint64_t> key_scratch(1);  // deliberately undersized
-    std::vector<std::uint32_t> row_scratch;
-    const std::uint64_t bytes =
-        radix_sort_pairs(keys, rows, plan, key_scratch, row_scratch);
-    ASSERT_EQ(keys.size(), n);
-    ASSERT_EQ(rows.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(keys[i], expected[i].first) << i;
-      EXPECT_EQ(rows[i], expected[i].second) << i;
-    }
-    // Only passes whose digit actually varies across the keys scatter;
-    // constant digits (bytes 3-6 here, plus any small-n coincidences) are
-    // skipped.
-    std::uint64_t executed = 0;
-    for (int p = 0; p < plan.passes && n >= 2; ++p) {
-      std::set<std::uint64_t> digits;
-      for (const auto& [k, r] : expected) digits.insert((k >> plan.shifts[static_cast<std::size_t>(p)]) & 0xFFu);
-      executed += digits.size() > 1 ? 1 : 0;
-    }
-    const std::uint64_t expected_bytes =
-        n < 2 ? 0 : static_cast<std::uint64_t>(n) * executed * 12;
-    EXPECT_EQ(bytes, expected_bytes);
   }
 }
 

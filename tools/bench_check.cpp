@@ -61,8 +61,8 @@ std::optional<double> number_field(const std::string& json,
 
 /// Default tracked metrics — perf_critical's keys (higher is better).
 constexpr const char* kDefaultTracked[] = {
-    "indexed_epochs_per_sec",
-    "indexed_sharded_epochs_per_sec",
+    "default_epochs_per_sec",
+    "dense_epochs_per_sec",
 };
 
 }  // namespace
