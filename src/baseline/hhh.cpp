@@ -76,19 +76,7 @@ std::vector<HhhCluster> find_hhh(std::span<const Session> sessions,
   return result;
 }
 
-// --- count-min ---------------------------------------------------------------
-
 namespace {
-
-/// splitmix64 finisher with a per-row salt: depth independent-enough hash
-/// rows from one 64-bit key, no RNG state.
-[[nodiscard]] std::uint64_t mix_row(std::uint64_t key,
-                                    std::uint32_t row) noexcept {
-  std::uint64_t x = key + (row + 1) * 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 struct SketchMetrics {
   obs::Counter& epochs;
@@ -108,40 +96,7 @@ struct SketchMetrics {
   }
 };
 
-// SketchAdmission's count-min cross-check: width x depth counters.
-constexpr std::uint32_t kAdmissionCmWidth = 8192;
-constexpr std::uint32_t kAdmissionCmDepth = 4;
-
 }  // namespace
-
-CountMinSketch::CountMinSketch(std::uint32_t width, std::uint32_t depth)
-    : width_{width}, depth_{depth} {
-  if (width == 0 || depth == 0) {
-    throw std::invalid_argument{"CountMinSketch: width and depth must be > 0"};
-  }
-  rows_.assign(static_cast<std::size_t>(width_) * depth_, 0);
-}
-
-void CountMinSketch::add(std::uint64_t key, std::uint64_t weight) noexcept {
-  for (std::uint32_t r = 0; r < depth_; ++r) {
-    rows_[static_cast<std::size_t>(r) * width_ + mix_row(key, r) % width_] +=
-        weight;
-  }
-}
-
-std::uint64_t CountMinSketch::estimate(std::uint64_t key) const noexcept {
-  std::uint64_t best = ~std::uint64_t{0};
-  for (std::uint32_t r = 0; r < depth_; ++r) {
-    best = std::min(
-        best,
-        rows_[static_cast<std::size_t>(r) * width_ + mix_row(key, r) % width_]);
-  }
-  return best;
-}
-
-void CountMinSketch::clear() noexcept {
-  std::fill(rows_.begin(), rows_.end(), 0);
-}
 
 // --- space-saving ------------------------------------------------------------
 
@@ -225,21 +180,16 @@ std::vector<SpaceSavingEntry> SpaceSaving::entries() const {
   return out;
 }
 
-void SpaceSaving::clear() noexcept {
-  slots_.clear();
-  heap_.clear();
-  pos_.clear();
-  index_.clear();
-}
-
 // --- sketch-bounded admission ------------------------------------------------
 
 SketchAdmission::SketchAdmission(const SketchAdmissionParams& params)
     : params_{params},
-      heavy_{params.max_cells == 0
-                 ? 1
-                 : std::max<std::size_t>(1, params.max_cells / kFullMask)},
-      counts_{kAdmissionCmWidth, kAdmissionCmDepth} {}
+      leaf_capacity_{std::max<std::size_t>(1, params.max_cells / kFullMask)} {}
+
+SketchAdmissionReport SketchAdmission::report() const {
+  const MutexLock lock{mutex_};
+  return report_;
+}
 
 LeafFold SketchAdmission::fold(const SessionColumns& columns,
                                const ProblemThresholds& thresholds,
@@ -247,43 +197,39 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
   if (params_.max_cells == 0) {
     return fold_sessions_columns(columns, thresholds, epoch);
   }
-  SketchMetrics& metrics = SketchMetrics::get();
   const std::size_t n = columns.size();
-  keys_.resize(n);
-  bits_.resize(n);
-  pack_leaf_keys_columns(columns, keys_);
-  problem_bits_columns(columns, thresholds, bits_);
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint8_t> bits(n);
+  pack_leaf_keys_columns(columns, keys);
+  problem_bits_columns(columns, thresholds, bits);
 
   // Pass 1: exact root over every session; heavy-leaf identities into the
-  // summary.  Admission is per epoch — the summary restarts so a leaf that
-  // went quiet cannot squat on a slot.
-  heavy_.clear();
-  counts_.clear();
+  // summary.  Admission is per epoch — a fresh summary, so a leaf that went
+  // quiet cannot squat on a slot.
+  SpaceSaving heavy{leaf_capacity_};
   LeafFold fold;
   fold.epoch = epoch;
-  const std::uint64_t evictions_before = heavy_.evictions();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t b = bits_[i];
+    const std::uint8_t b = bits[i];
     fold.root.sessions += 1;
     for (int m = 0; m < kNumMetrics; ++m) {
       fold.root.problems[m] += (b >> m) & 1u;
     }
-    heavy_.offer(keys_[i]);
-    counts_.add(keys_[i]);
+    heavy.offer(keys[i]);
   }
 
   // Pass 2: fold only the admitted leaves, in stream order, so each
   // admitted leaf's stats are exactly what the unbounded fold would hold.
-  FlatSet64 admitted{heavy_.size() * 2};
-  for (const SpaceSavingEntry& entry : heavy_.entries()) {
+  FlatSet64 admitted{heavy.size() * 2};
+  for (const SpaceSavingEntry& entry : heavy.entries()) {
     admitted.insert(entry.key);
   }
   fold.leaves.reserve(admitted.size() * 2);
   std::uint64_t admitted_sessions = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!admitted.contains(keys_[i])) continue;
-    ClusterStats& leaf = fold.leaves[keys_[i]];
-    const std::uint8_t b = bits_[i];
+    if (!admitted.contains(keys[i])) continue;
+    ClusterStats& leaf = fold.leaves[keys[i]];
+    const std::uint8_t b = bits[i];
     leaf.sessions += 1;
     for (int m = 0; m < kNumMetrics; ++m) {
       leaf.problems[m] += (b >> m) & 1u;
@@ -291,17 +237,20 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
     ++admitted_sessions;
   }
 
-  const std::uint64_t evicted = heavy_.evictions() - evictions_before;
-  report_.epochs += 1;
-  report_.sessions_seen += n;
-  report_.sessions_admitted += admitted_sessions;
-  report_.leaves_admitted += fold.leaves.size();
-  report_.evictions += evicted;
+  {
+    const MutexLock lock{mutex_};
+    report_.epochs += 1;
+    report_.sessions_seen += n;
+    report_.sessions_admitted += admitted_sessions;
+    report_.leaves_admitted += fold.leaves.size();
+    report_.evictions += heavy.evictions();
+  }
+  SketchMetrics& metrics = SketchMetrics::get();
   metrics.epochs.add(1);
   metrics.sessions_seen.add(n);
   metrics.sessions_admitted.add(admitted_sessions);
   metrics.leaves_admitted.add(fold.leaves.size());
-  metrics.evictions.add(evicted);
+  metrics.evictions.add(heavy.evictions());
   return fold;
 }
 

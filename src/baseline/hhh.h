@@ -19,8 +19,7 @@
 // that past any budget.  --max-cells caps it by admitting only the heavy
 // leaves of each epoch into the exact fold — identities tracked by a
 // space-saving summary (Metwally et al., every leaf with true count >
-// sessions/capacity is guaranteed present), counts cross-checked by a
-// count-min sketch (never underestimates).  The lattice over admitted
+// sessions/capacity is guaranteed present).  The lattice over admitted
 // leaves is exact, so planted events heavy enough to matter survive; the
 // recall/precision cost of the cut is quantified against the exact fold in
 // tests/test_sketch.cpp and recorded in EXPERIMENTS.md.
@@ -36,6 +35,8 @@
 #include "src/core/cluster_engine.h"
 #include "src/core/columns.h"
 #include "src/core/session.h"
+#include "src/util/mutex.h"
+#include "src/util/thread_annotations.h"
 
 namespace vq {
 
@@ -54,28 +55,6 @@ struct HhhCluster {
 [[nodiscard]] std::vector<HhhCluster> find_hhh(
     std::span<const Session> sessions, const ProblemThresholds& thresholds,
     const HhhParams& params, Metric metric);
-
-/// Count-min sketch over 64-bit keys.  estimate() never underestimates the
-/// true added weight; the expected overcount is bounded by
-/// (2 / width) * total_weight per row, taken as the min over `depth`
-/// independent rows.  Deterministic: fixed mixing constants, no RNG.
-class CountMinSketch {
- public:
-  CountMinSketch(std::uint32_t width, std::uint32_t depth);
-
-  void add(std::uint64_t key, std::uint64_t weight = 1) noexcept;
-  [[nodiscard]] std::uint64_t estimate(std::uint64_t key) const noexcept;
-  /// Zeroes every cell; capacity is retained for per-epoch reuse.
-  void clear() noexcept;
-
-  [[nodiscard]] std::uint32_t width() const noexcept { return width_; }
-  [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
-
- private:
-  std::uint32_t width_;
-  std::uint32_t depth_;
-  std::vector<std::uint64_t> rows_;  // depth_ x width_, row-major
-};
 
 struct SpaceSavingEntry {
   std::uint64_t key = 0;
@@ -97,8 +76,6 @@ class SpaceSaving {
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
-  /// Forgets every entry; capacity is retained for per-epoch reuse.
-  void clear() noexcept;
 
  private:
   void sift_up(std::size_t heap_pos) noexcept;
@@ -127,39 +104,37 @@ struct SketchAdmissionReport {
   std::uint64_t evictions = 0;
 };
 
-/// Bounded-memory admission front end for the streaming pipeline: a
+/// Bounded-memory admission front end for the pipeline: a
 /// PipelineConfig::fold_provider that folds only each epoch's heavy leaves.
 /// Per epoch: pass 1 streams every session's leaf key through the
-/// space-saving summary (and the count-min cross-check) and accumulates the
-/// exact root; pass 2 folds only sessions whose leaf survived into the
-/// LeafFold, in stream order, so admitted leaves carry their exact stats
-/// and the downstream lattice is an exact sub-lattice.  The root is always
-/// exact — global problem ratios, and therefore the flagging thresholds,
-/// are unaffected by the cut.
-/// Deterministic for a given input; not thread-safe (streaming epochs are
-/// sequential).  Reusable across epochs; scratch capacity is retained.
+/// space-saving summary and accumulates the exact root; pass 2 folds only
+/// sessions whose leaf survived into the LeafFold, in stream order, so
+/// admitted leaves carry their exact stats and the downstream lattice is an
+/// exact sub-lattice.  The root is always exact — global problem ratios,
+/// and therefore the flagging thresholds, are unaffected by the cut.
+/// Deterministic for a given input.  fold() is re-entrant — each call gets
+/// its own summary and scratch, and only the report totals are shared
+/// (under a lock) — because run_pipeline folds its epochs in flight
+/// concurrently.
 class SketchAdmission {
  public:
   explicit SketchAdmission(const SketchAdmissionParams& params);
 
   [[nodiscard]] LeafFold fold(const SessionColumns& columns,
                               const ProblemThresholds& thresholds,
-                              std::uint32_t epoch);
+                              std::uint32_t epoch) VQ_EXCLUDES(mutex_);
 
-  [[nodiscard]] const SketchAdmissionReport& report() const noexcept {
-    return report_;
-  }
+  /// Totals over every fold() so far.
+  [[nodiscard]] SketchAdmissionReport report() const VQ_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t leaf_capacity() const noexcept {
-    return heavy_.capacity();
+    return leaf_capacity_;
   }
 
  private:
   SketchAdmissionParams params_;
-  SpaceSaving heavy_;
-  CountMinSketch counts_;
-  SketchAdmissionReport report_;
-  std::vector<std::uint64_t> keys_;  // per-epoch scratch
-  std::vector<std::uint8_t> bits_;   // per-epoch scratch
+  std::size_t leaf_capacity_;
+  mutable Mutex mutex_;
+  SketchAdmissionReport report_ VQ_GUARDED_BY(mutex_);
 };
 
 }  // namespace vq

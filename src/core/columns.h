@@ -23,10 +23,11 @@
 //     (tests/oracle.h) with both kernels across block boundaries.
 //
 // SessionColumns is also the unit of streaming: EpochColumnsSource is the
-// abstract one-epoch-at-a-time feed run_pipeline_streaming (pipeline.h)
-// consumes, letting `analyze` run at O(one epoch) memory over traces that
-// never fit in RAM.  gen/columnar.h implements it over the on-disk format;
-// TableColumnsSource below implements it over an in-memory SessionTable.
+// abstract one-epoch-at-a-time feed run_pipeline (pipeline.h) and the
+// monitor consume, letting `analyze` run at O(epochs in flight) memory over
+// traces that never fit in RAM.  gen/columnar.h implements it over the
+// on-disk format; TableColumnsSource below implements it over an in-memory
+// SessionTable.
 
 #pragma once
 

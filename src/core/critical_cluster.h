@@ -133,7 +133,7 @@ struct CriticalAnalysis {
 /// The four per-metric analyses of one epoch, indexed by metric.
 using EpochAnalyses = std::array<CriticalAnalysis, kNumMetrics>;
 
-/// The per-epoch engine shared by run_pipeline, run_pipeline_streaming and
+/// The per-epoch engine shared by run_pipeline and
 /// StreamingDetector::ingest: expands `fold` into its iceberg at
 /// params.min_sessions, runs the extraction for every metric, and drops
 /// the table.  `pool`/`shards`
@@ -146,8 +146,8 @@ using EpochAnalyses = std::array<CriticalAnalysis, kNumMetrics>;
 
 /// The one shard rule: analyze_epoch's `shards` when `workers` threads run
 /// `concurrent_epochs` epochs at once, so epochs x shards cover the pool.
-/// run_pipeline passes its epoch count; run_pipeline_streaming and
-/// StreamingDetector pass 1 (shards = workers).  workers 0 counts as 1.
+/// run_pipeline passes its epochs in flight, min(workers, epochs);
+/// StreamingDetector passes 1 (shards = workers).  workers 0 counts as 1.
 [[nodiscard]] constexpr std::size_t epoch_shards(
     std::size_t workers, std::size_t concurrent_epochs) noexcept {
   const std::size_t w = std::max<std::size_t>(1, workers);

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/mutex.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
@@ -43,65 +46,109 @@ PipelineResult::MetricAggregates PipelineResult::aggregates(Metric m) const {
 
 namespace {
 
-/// Setup and bookkeeping both pipelines share: the result skeleton, the
-/// worker pool, the shard count for `concurrent_epochs` epochs in flight,
-/// and the per-epoch step — analyze_epoch, store its four analyses, bump
-/// the pipeline.* counters.  Those counts are properties of the analysis,
-/// not the schedule, so they are kStable: totals match for any workers
-/// setting.
-class PipelineRun {
- public:
-  PipelineRun(const PipelineConfig& config, std::uint32_t num_epochs,
-              std::size_t concurrent_epochs)
-      : config_{config},
-        workers_{config.workers == 0
-                     ? std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency())
-                     : config.workers},
-        shards_{epoch_shards(workers_, concurrent_epochs)} {
-    result.config = config;
-    result.num_epochs = num_epochs;
-    for (auto& v : result.per_metric) v.resize(num_epochs);
-    if (workers_ > 1 && num_epochs > 0) pool_.emplace(workers_);
-  }
-
-  [[nodiscard]] ThreadPool* pool() noexcept {
-    return pool_ ? &*pool_ : nullptr;
-  }
-
-  void analyze(std::uint32_t epoch, const LeafFold& fold,
-               std::size_t sessions) {
-    EpochAnalyses analyses = analyze_epoch(fold, config_.engine,
-                                           config_.cluster_params, pool(),
-                                           shards_);
-    for (const Metric m : kAllMetrics) {
-      const auto mi = static_cast<std::uint8_t>(m);
-      CriticalAnalysis& analysis = result.per_metric[mi][epoch].analysis;
-      analysis = std::move(analyses[mi]);
-      problem_clusters_.add(analysis.num_problem_clusters);
-      critical_clusters_.add(analysis.criticals.size());
-    }
-    epochs_.add(1);
-    sessions_.add(sessions);
-  }
-
-  PipelineResult result;
-
- private:
-  const PipelineConfig& config_;
-  const std::size_t workers_;
-  const std::size_t shards_;
-  std::optional<ThreadPool> pool_;
-  obs::Counter& epochs_ = obs::Registry::global().counter("pipeline.epochs");
-  obs::Counter& sessions_ =
-      obs::Registry::global().counter("pipeline.sessions");
-  obs::Counter& problem_clusters_ =
-      obs::Registry::global().counter("pipeline.problem_clusters");
-  obs::Counter& critical_clusters_ =
-      obs::Registry::global().counter("pipeline.critical_clusters");
+/// run_pipeline's claim state, shared by its epoch loops.  Reads happen
+/// under `mutex` too, so they come out in ascending epoch order.
+struct EpochCursor {
+  Mutex mutex;
+  std::uint32_t next VQ_GUARDED_BY(mutex) = 0;
+  bool failed VQ_GUARDED_BY(mutex) = false;  // an epoch threw: claim no more
+  std::vector<std::uint32_t> degraded VQ_GUARDED_BY(mutex);  // ascending
 };
 
 }  // namespace
+
+PipelineResult run_pipeline(EpochColumnsSource& source,
+                            const PipelineConfig& config) {
+  PipelineResult result;
+  result.config = config;
+  result.num_epochs = source.num_epochs();
+  for (auto& v : result.per_metric) v.resize(result.num_epochs);
+
+  const std::size_t workers =
+      config.workers == 0
+          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+          : config.workers;
+  const std::size_t in_flight =
+      std::min<std::size_t>(workers, result.num_epochs);
+  const std::size_t shards = epoch_shards(workers, in_flight);
+  std::optional<ThreadPool> pool;
+  if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
+
+  // Properties of the analysis, not the schedule: kStable, so totals match
+  // for any workers setting.
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter& epochs_done = registry.counter("pipeline.epochs");
+  obs::Counter& sessions_done = registry.counter("pipeline.sessions");
+  obs::Counter& problem_clusters =
+      registry.counter("pipeline.problem_clusters");
+  obs::Counter& critical_clusters =
+      registry.counter("pipeline.critical_clusters");
+  // Largest batch ever held: the O(epochs in flight) memory witness.
+  obs::Gauge& held_max = registry.gauge("pipeline.stream_epoch_sessions_max");
+
+  EpochCursor cursor;
+
+  const auto epoch_loop = [&](std::size_t) {
+    SessionColumns columns;  // reused across this loop's epochs
+    for (;;) {
+      std::uint32_t epoch = 0;
+      {
+        const MutexLock lock{cursor.mutex};
+        if (cursor.failed || cursor.next == result.num_epochs) return;
+        epoch = cursor.next++;
+        VQ_SPAN_EPOCH("pipeline.read_epoch", epoch);
+        try {
+          if (source.read_epoch(epoch, columns)) {
+            cursor.degraded.push_back(epoch);
+          }
+        } catch (...) {
+          cursor.failed = true;
+          throw;
+        }
+      }
+      held_max.update_max(static_cast<std::int64_t>(columns.size()));
+
+      try {
+        VQ_SPAN_EPOCH("pipeline.epoch", epoch);
+        const LeafFold fold = [&] {
+          VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
+          return config.fold_provider
+                     ? config.fold_provider(columns, config.thresholds, epoch)
+                     : fold_sessions_columns(columns, config.thresholds,
+                                             epoch);
+        }();
+        EpochAnalyses analyses =
+            analyze_epoch(fold, config.engine, config.cluster_params,
+                          pool ? &*pool : nullptr, shards);
+        for (const Metric m : kAllMetrics) {
+          const auto mi = static_cast<std::uint8_t>(m);
+          CriticalAnalysis& analysis = result.per_metric[mi][epoch].analysis;
+          analysis = std::move(analyses[mi]);
+          problem_clusters.add(analysis.num_problem_clusters);
+          critical_clusters.add(analysis.criticals.size());
+        }
+      } catch (...) {
+        const MutexLock lock{cursor.mutex};
+        cursor.failed = true;
+        throw;
+      }
+      epochs_done.add(1);
+      sessions_done.add(columns.size());
+    }
+  };
+
+  if (pool) {
+    // parallel_for is re-entrant, so each epoch loop can fan its epoch's
+    // expansion out across the same pool; the first exception surfaces
+    // here once the other loops have stopped claiming epochs.
+    pool->parallel_for(0, in_flight, epoch_loop);
+  } else {
+    epoch_loop(0);
+  }
+  const MutexLock lock{cursor.mutex};
+  result.degraded_epochs = std::move(cursor.degraded);
+  return result;
+}
 
 PipelineResult run_pipeline(const SessionTable& table,
                             const PipelineConfig& config,
@@ -110,61 +157,13 @@ PipelineResult run_pipeline(const SessionTable& table,
     throw std::invalid_argument{
         "run_pipeline: degraded epochs must be sorted ascending"};
   }
-  // All epochs may run at once: they shard only when fewer than workers.
-  PipelineRun run{config, table.num_epochs(), table.num_epochs()};
-  run.result.degraded_epochs.assign(degraded.begin(), degraded.end());
-
-  const auto process_epoch = [&](std::size_t e) {
-    const auto epoch = static_cast<std::uint32_t>(e);
-    VQ_SPAN_EPOCH("pipeline.epoch", epoch);
-    const std::span<const Session> sessions = table.epoch(epoch);
-    const LeafFold fold = [&] {
-      VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
-      return fold_sessions(sessions, config.thresholds, epoch);
-    }();
-    run.analyze(epoch, fold, sessions.size());
-  };
-
-  if (run.pool() == nullptr) {
-    for (std::uint32_t e = 0; e < table.num_epochs(); ++e) process_epoch(e);
-  } else {
-    // parallel_for is re-entrant, so the per-epoch workers can themselves
-    // fan the lattice expansion out across the same pool; a throwing epoch
-    // (e.g. an epoch-mismatch in fold_sessions) surfaces here rather than
-    // terminating the process.
-    run.pool()->parallel_for(0, table.num_epochs(), process_epoch);
-  }
-  return std::move(run.result);
-}
-
-PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
-                                      const PipelineConfig& config) {
-  // Epochs stream sequentially (that is the memory bound), so all
-  // parallelism lives inside the epoch.
-  PipelineRun run{config, source.num_epochs(), 1};
-  // Largest batch ever held: the structural O(one epoch) memory witness.
-  obs::Gauge& held_max =
-      obs::Registry::global().gauge("pipeline.stream_epoch_sessions_max");
-
-  SessionColumns columns;  // reused across epochs; capacity is retained
-  for (std::uint32_t epoch = 0; epoch < run.result.num_epochs; ++epoch) {
-    VQ_SPAN_EPOCH("pipeline.epoch", epoch);
-    const bool degraded = [&] {
-      VQ_SPAN_EPOCH("pipeline.read_epoch", epoch);
-      return source.read_epoch(epoch, columns);
-    }();
-    if (degraded) run.result.degraded_epochs.push_back(epoch);
-    held_max.update_max(static_cast<std::int64_t>(columns.size()));
-
-    const LeafFold fold = [&] {
-      VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
-      return config.fold_provider
-                 ? config.fold_provider(columns, config.thresholds, epoch)
-                 : fold_sessions_columns(columns, config.thresholds, epoch);
-    }();
-    run.analyze(epoch, fold, columns.size());
-  }
-  return std::move(run.result);
+  std::vector<std::uint32_t> annotation(degraded.begin(), degraded.end());
+  TableColumnsSource source{table, annotation};
+  PipelineResult result = run_pipeline(source, config);
+  // The whole annotation, including a trailing epoch that lost every row
+  // (so lies past the table's last epoch, where no read reaches it).
+  result.degraded_epochs = std::move(annotation);
+  return result;
 }
 
 }  // namespace vq

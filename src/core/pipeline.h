@@ -1,18 +1,19 @@
 // End-to-end analysis pipeline: epochs -> cluster lattice -> problem
 // clusters -> critical clusters, per metric.
 //
-// This is the library's primary entry point.  It processes epochs one at a
-// time (optionally in parallel), discards the bulky per-epoch lattice tables
-// after extracting what the longitudinal analyses need, and returns a
-// PipelineResult the §4/§5 analytics (prevalence, persistence, overlap,
+// This is the library's primary entry point.  It pulls epochs from an
+// EpochColumnsSource (columns.h), discards the bulky per-epoch lattice
+// tables after extracting what the longitudinal analyses need, and returns
+// a PipelineResult the §4/§5 analytics (prevalence, persistence, overlap,
 // what-if) consume.
 //
 // Every epoch runs the same engine, analyze_epoch (critical_cluster.h):
 // fold -> lattice -> four critical analyses.  `workers` is the only
-// parallelism setting.  One thread pool serves two levels: epochs are
-// spread across workers, and within an epoch the lattice expansion and
-// extraction shard by epoch_shards (critical_cluster.h), which gives each
-// epoch in flight its share of the pool.  Results never depend on either.
+// parallelism setting.  One thread pool serves two levels: up to `workers`
+// epochs are in flight at once, and within an epoch the lattice expansion
+// and extraction shard by epoch_shards (critical_cluster.h), which gives
+// each epoch in flight its share of the pool.  Results never depend on
+// either.
 
 #pragma once
 
@@ -40,11 +41,12 @@ struct PipelineConfig {
   /// (epoch_shards); 0 = hardware concurrency.  Any value yields identical
   /// results.
   std::size_t workers = 1;
-  /// Streaming only: optional replacement for the pass-1 fold, e.g. the
-  /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only
-  /// heavy leaves under a --max-cells budget.  The returned fold must carry
-  /// the requested epoch id; its root is taken as the epoch's global
-  /// counters.  Null uses fold_sessions_columns (exact).
+  /// Optional replacement for the pass-1 fold, e.g. the sketch-bounded
+  /// admission tier (src/baseline/hhh.h) that folds only heavy leaves under
+  /// a --max-cells budget.  Called concurrently for the epochs in flight, so
+  /// it must be re-entrant.  The returned fold must carry the requested
+  /// epoch id; its root is taken as the epoch's global counters.  Null uses
+  /// fold_sessions_columns (exact).
   std::function<LeafFold(const SessionColumns&, const ProblemThresholds&,
                          std::uint32_t)>
       fold_provider;
@@ -97,24 +99,24 @@ struct PipelineResult {
   [[nodiscard]] MetricAggregates aggregates(Metric m) const;
 };
 
-/// `degraded` (sorted ascending, else std::invalid_argument) carries the
-/// ingest layer's degraded-epoch annotation through to the result.
+/// Runs every epoch of `source`.  Up to min(workers, epochs) loops each
+/// keep one reused SessionColumns batch, so peak memory is O(epochs in
+/// flight), not O(whole trace).  Under one lock a loop claims the next
+/// epoch and reads it, so read_epoch is called once per epoch, in ascending
+/// order, and never again after one throws (the exception is rethrown
+/// here).  Outside the lock it folds the epoch (config.fold_provider or
+/// fold_sessions_columns) and analyses it.  Epochs whose read_epoch
+/// reported damage land in PipelineResult::degraded_epochs.  The
+/// pipeline.stream_epoch_sessions_max gauge records the largest batch read,
+/// making the memory claim observable.
+[[nodiscard]] PipelineResult run_pipeline(EpochColumnsSource& source,
+                                          const PipelineConfig& config);
+
+/// run_pipeline over an in-memory table (TableColumnsSource).  `degraded`
+/// (sorted ascending, else std::invalid_argument) is the ingest layer's
+/// degraded-epoch annotation; it becomes the result's degraded_epochs.
 [[nodiscard]] PipelineResult run_pipeline(
     const SessionTable& table, const PipelineConfig& config,
     std::span<const std::uint32_t> degraded = {});
-
-/// Out-of-core variant: pulls epochs one at a time from `source` (a
-/// gen/columnar.h ColumnarReader, or a TableColumnsSource) into one reused
-/// SessionColumns buffer, so peak memory is O(largest epoch) instead of
-/// O(whole trace).  Epochs run sequentially, so `config.workers` all go to
-/// sharding each epoch (epoch_shards with one epoch in flight).  The result
-/// is identical to run_pipeline over the same sessions — both fold with
-/// fold_sessions_columns (run_pipeline converts each epoch's rows first),
-/// and shard count never affects results.  Epochs whose read_epoch reported
-/// damage land in PipelineResult::degraded_epochs.  The
-/// pipeline.stream_epoch_sessions_max gauge records the largest batch held,
-/// making the memory claim observable.
-[[nodiscard]] PipelineResult run_pipeline_streaming(
-    EpochColumnsSource& source, const PipelineConfig& config);
 
 }  // namespace vq

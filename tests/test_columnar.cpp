@@ -140,7 +140,7 @@ TEST(Columnar, FileRoundTripAndStreamingPipelineAgree) {
   config.cluster_params.min_sessions = 30;
   const PipelineResult in_ram = run_pipeline(original.table, config);
   ColumnarReader reader{path};
-  const PipelineResult streamed = run_pipeline_streaming(reader, config);
+  const PipelineResult streamed = run_pipeline(reader, config);
   ASSERT_EQ(streamed.num_epochs, in_ram.num_epochs);
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < in_ram.num_epochs; ++e) {

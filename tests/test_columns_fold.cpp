@@ -1,9 +1,9 @@
 // Tests for the vectorized column-batch kernels (core/columns.h):
 // problem_bits_columns / pack_leaf_keys_columns / fold_sessions_columns
 // must reproduce the naive oracle (tests/oracle.h) bit for bit, with both
-// the kAuto (SIMD) and kScalar kernels — and run_pipeline_streaming must
-// match run_pipeline at every workers setting (and so at every shard count
-// the two derive from it).
+// the kAuto (SIMD) and kScalar kernels — and run_pipeline over a
+// TableColumnsSource must match the serial run at every workers setting
+// (and so at every shard count it derives).
 
 #include <gtest/gtest.h>
 
@@ -271,17 +271,17 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   config.workers = 1;
   const PipelineResult baseline = run_pipeline(trace, config);
 
-  // Shards derive from workers (epoch_shards): streamed, each epoch takes
-  // 1, 2, 4 or 5 shards; in RAM over 3 epochs, 1, 1, 2 and 2.
+  // Shards derive from workers (epoch_shards): over 3 epochs, 1, 1, 2 and
+  // 2 shards, with 1, 2, 3 and 3 epochs in flight.
   for (const std::size_t workers : {1u, 2u, 4u, 5u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     config.workers = workers;
     TableColumnsSource source{trace};
-    const PipelineResult streamed = run_pipeline_streaming(source, config);
+    const PipelineResult streamed = run_pipeline(source, config);
     ASSERT_EQ(streamed.num_epochs, baseline.num_epochs);
     EXPECT_TRUE(streamed.degraded_epochs.empty());
-    // Cross-check the parallel in-memory pipeline at the same settings —
-    // three-way agreement pins both paths to the serial baseline.
+    // Cross-check the table adapter at the same settings — three-way
+    // agreement pins both entry points to the serial baseline.
     const PipelineResult parallel = run_pipeline(trace, config);
     for (const Metric m : kAllMetrics) {
       for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
@@ -327,7 +327,7 @@ TEST(TableColumnsSource, RereadingAnEpochReusesEveryColumn) {
 TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
   const SessionTable trace = medium_trace(3, 300);
   TableColumnsSource source{trace, {1}};
-  const PipelineResult result = run_pipeline_streaming(source, {});
+  const PipelineResult result = run_pipeline(source, {});
   EXPECT_EQ(result.degraded_epochs, (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(result.is_degraded(0));
   EXPECT_TRUE(result.is_degraded(1));

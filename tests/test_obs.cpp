@@ -118,11 +118,10 @@ TEST(ObsRegistry, SnapshotIdenticalAcrossWorkersAndShards) {
   PipelineConfig config;
   config.cluster_params.min_sessions = 40;
 
-  // Shards derive from workers (epoch_shards).  In RAM over 6 epochs:
-  // 1 worker is serial, 4 run epochs in parallel unsharded, 8 run them in
-  // parallel with 2 shards each.  Streamed, all workers shard the one
-  // epoch in flight.  Each path's snapshots must agree across workers
-  // (the streamed one also carries its held-batch gauge).
+  // Shards derive from workers (epoch_shards).  Over 6 epochs: 1 worker
+  // is serial, 4 run four epochs at once unsharded, 8 run all six with 2
+  // shards each.  Both entry points (the table adapter and a source) must
+  // give snapshots that agree across workers.
   for (const bool streamed : {false, true}) {
     std::vector<std::string> snapshots;
     for (const std::size_t workers : {1u, 4u, 8u}) {
@@ -130,7 +129,7 @@ TEST(ObsRegistry, SnapshotIdenticalAcrossWorkersAndShards) {
       config.workers = workers;
       if (streamed) {
         TableColumnsSource source{trace};
-        (void)run_pipeline_streaming(source, config);
+        (void)run_pipeline(source, config);
       } else {
         (void)run_pipeline(trace, config);
       }

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "src/core/prevalence.h"
 #include "src/gen/tracegen.h"
+#include "src/util/mutex.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -143,36 +150,33 @@ TEST_F(GeneratedFixture, ParallelPipelineMatchesSerial) {
 }
 
 TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
-  // Shards derive from workers (epoch_shards).  Four workers over two
-  // epochs run both epochs at once with two shards each; streamed, the one
-  // epoch in flight takes all four.
+  // Shards derive from workers (epoch_shards).  Four workers over one
+  // epoch give it all four shards; over two epochs, two shards each; over
+  // all eight, four epochs are in flight with one shard each.
   PipelineConfig sharded_config = config;
   sharded_config.workers = 4;
-  const std::size_t two_epochs =
-      trace.epoch(0).size() + trace.epoch(1).size();
-  const SessionTable head{std::vector<Session>(
-      trace.sessions().begin(), trace.sessions().begin() + two_epochs)};
-  const PipelineResult in_ram = run_pipeline(head, sharded_config);
-  ASSERT_EQ(in_ram.num_epochs, 2u);
-  TableColumnsSource source{trace};
-  const PipelineResult streamed =
-      run_pipeline_streaming(source, sharded_config);
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      if (e < in_ram.num_epochs) {
+  for (const std::uint32_t epochs : {1u, 2u, 8u}) {
+    SCOPED_TRACE("epochs=" + std::to_string(epochs));
+    std::size_t rows = 0;
+    for (std::uint32_t e = 0; e < epochs; ++e) rows += trace.epoch(e).size();
+    const SessionTable head{std::vector<Session>(
+        trace.sessions().begin(), trace.sessions().begin() + rows)};
+    TableColumnsSource source{head};
+    const PipelineResult sharded = run_pipeline(source, sharded_config);
+    ASSERT_EQ(sharded.num_epochs, epochs);
+    for (const Metric m : kAllMetrics) {
+      for (std::uint32_t e = 0; e < epochs; ++e) {
         test::expect_same_analysis(result.at(m, e).analysis,
-                                   in_ram.at(m, e).analysis);
+                                   sharded.at(m, e).analysis);
       }
-      test::expect_same_analysis(result.at(m, e).analysis,
-                                 streamed.at(m, e).analysis);
     }
   }
 }
 
 TEST(EpochShards, MatchesTheBatchAndStreamingRules) {
-  // The two rules epoch_shards replaced.  run_pipeline: 1 shard once the
-  // epochs fill the pool, ceil(workers / epochs) below that.  The streaming
-  // pipeline and the detector: shards = workers.
+  // run_pipeline: 1 shard once the epochs in flight fill the pool,
+  // ceil(workers / epochs) below that.  The detector, one epoch in flight:
+  // shards = workers.
   const auto batch_rule = [](std::size_t workers, std::size_t epochs) {
     if (workers <= 1 || epochs >= workers) return std::size_t{1};
     return (workers + epochs - 1) / epochs;
@@ -188,6 +192,81 @@ TEST(EpochShards, MatchesTheBatchAndStreamingRules) {
   EXPECT_EQ(epoch_shards(0, 7), 1u);
   EXPECT_EQ(epoch_shards(0, 0), 1u);
   EXPECT_EQ(epoch_shards(4, 0), 4u);
+}
+
+/// Records every read_epoch call; odd epochs read as degraded, and the
+/// read of `throw_at` (if set) throws.
+class RecordingSource final : public EpochColumnsSource {
+ public:
+  RecordingSource(const SessionTable& table,
+                  std::optional<std::uint32_t> throw_at)
+      : inner_{table}, throw_at_{throw_at} {}
+
+  [[nodiscard]] std::uint32_t num_epochs() const override {
+    return inner_.num_epochs();
+  }
+  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
+    {
+      const MutexLock lock{mutex_};
+      reads_.push_back(e);
+    }
+    if (throw_at_ == e) throw std::runtime_error{"injected read failure"};
+    (void)inner_.read_epoch(e, out);
+    return e % 2 == 1;
+  }
+  [[nodiscard]] std::vector<std::uint32_t> reads() const {
+    const MutexLock lock{mutex_};
+    return reads_;
+  }
+
+ private:
+  TableColumnsSource inner_;
+  const std::optional<std::uint32_t> throw_at_;
+  mutable Mutex mutex_;
+  std::vector<std::uint32_t> reads_ VQ_GUARDED_BY(mutex_);
+};
+
+SessionTable small_epochs(std::uint32_t epochs) {
+  std::vector<Session> sessions;
+  for (std::uint32_t e = 0; e < epochs; ++e) {
+    test::add_sessions(sessions, e, Attrs{.cdn = 1, .asn = 1},
+                       test::bad_buffering(), 20);
+    test::add_sessions(sessions, e, Attrs{.cdn = 2, .asn = 2},
+                       test::good_quality(), 80);
+  }
+  return SessionTable{std::move(sessions)};
+}
+
+TEST(Pipeline, ReadsEachEpochOnceInAscendingOrder) {
+  const SessionTable table = small_epochs(12);
+  std::vector<std::uint32_t> all(12);
+  std::iota(all.begin(), all.end(), 0u);
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    RecordingSource source{table, std::nullopt};
+    PipelineConfig config;
+    config.cluster_params.min_sessions = 10;
+    config.workers = workers;
+    const PipelineResult result = run_pipeline(source, config);
+    EXPECT_EQ(source.reads(), all);
+    EXPECT_EQ(result.degraded_epochs,
+              (std::vector<std::uint32_t>{1, 3, 5, 7, 9, 11}));
+    EXPECT_EQ(result.at(Metric::kBufRatio, 11).analysis.sessions, 100u);
+  }
+}
+
+TEST(Pipeline, ReadErrorIsRethrownAndEndsTheReads) {
+  const SessionTable table = small_epochs(12);
+  const std::vector<std::uint32_t> up_to_throw{0, 1, 2, 3, 4, 5};
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    RecordingSource source{table, 5u};
+    PipelineConfig config;
+    config.cluster_params.min_sessions = 10;
+    config.workers = workers;
+    EXPECT_THROW((void)run_pipeline(source, config), std::runtime_error);
+    EXPECT_EQ(source.reads(), up_to_throw);
+  }
 }
 
 TEST(Pipeline, EmptyTable) {

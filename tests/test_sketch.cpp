@@ -1,5 +1,5 @@
-// Sketch-bounded admission tier (src/baseline/hhh.h): count-min and
-// space-saving guarantees, exactness of the admitted sub-lattice, and the
+// Sketch-bounded admission tier (src/baseline/hhh.h): space-saving
+// guarantees, exactness of the admitted sub-lattice, and the
 // planted-event recall/precision differential against the exact pipeline
 // (the numbers EXPERIMENTS.md records).
 
@@ -8,13 +8,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/baseline/hhh.h"
 #include "src/core/columns.h"
 #include "src/core/pipeline.h"
 #include "src/gen/tracegen.h"
-#include "src/util/flat_hash_map.h"
 #include "tests/oracle.h"
 #include "tests/test_support.h"
 
@@ -23,8 +23,7 @@ namespace {
 
 using test::Attrs;
 
-/// Deterministic 64-bit key stream (splitmix64) — no RNG state shared with
-/// the sketch's own mixing.
+/// Deterministic 64-bit key stream (splitmix64) — no RNG state.
 struct KeyStream {
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
   std::uint64_t next() {
@@ -35,42 +34,6 @@ struct KeyStream {
     return x ^ (x >> 31);
   }
 };
-
-// --- count-min ---------------------------------------------------------------
-
-TEST(SketchCountMin, NeverUnderestimates) {
-  // A deliberately tiny sketch so collisions are guaranteed: the estimate
-  // may exceed the truth but must never fall below it.
-  CountMinSketch cms{64, 3};
-  KeyStream keys;
-  FlatMap64<std::uint64_t> truth;
-  for (int i = 0; i < 2'000; ++i) {
-    const std::uint64_t key = keys.next() % 512;  // force collisions
-    const std::uint64_t weight = 1 + key % 5;
-    truth[key] += weight;
-    cms.add(key, weight);
-  }
-  truth.for_each([&](std::uint64_t key, std::uint64_t count) {
-    EXPECT_GE(cms.estimate(key), count) << "key " << key;
-  });
-}
-
-TEST(SketchCountMin, ExactWithoutCollisions) {
-  CountMinSketch cms{1 << 12, 4};
-  for (std::uint64_t key = 1; key <= 8; ++key) cms.add(key, key * 10);
-  // With 8 keys in a 4096-wide sketch, collisions across all 4 rows are
-  // all but impossible; the min-row estimate is exact here.
-  for (std::uint64_t key = 1; key <= 8; ++key) {
-    EXPECT_EQ(cms.estimate(key), key * 10);
-  }
-  cms.clear();
-  EXPECT_EQ(cms.estimate(3), 0u);
-}
-
-TEST(SketchCountMin, RejectsZeroDimensions) {
-  EXPECT_THROW(CountMinSketch(0, 4), std::invalid_argument);
-  EXPECT_THROW(CountMinSketch(64, 0), std::invalid_argument);
-}
 
 // --- space-saving ------------------------------------------------------------
 
@@ -222,7 +185,7 @@ TEST(SketchAdmissionDifferential, PlantedEventRecallAndPrecisionVsExact) {
   config.cluster_params.min_sessions = 60;
 
   TableColumnsSource exact_source{trace};
-  const PipelineResult exact = run_pipeline_streaming(exact_source, config);
+  const PipelineResult exact = run_pipeline(exact_source, config);
 
   // Budget: 4000 leaves/epoch against ~3.5-4.5k distinct leaves — a mild
   // cut (~7% of sessions dropped at peak epochs).  The full budget sweep
@@ -239,8 +202,7 @@ TEST(SketchAdmissionDifferential, PlantedEventRecallAndPrecisionVsExact) {
     return admission.fold(columns, thresholds, epoch);
   };
   TableColumnsSource bounded_source{trace};
-  const PipelineResult bounded =
-      run_pipeline_streaming(bounded_source, bounded_config);
+  const PipelineResult bounded = run_pipeline(bounded_source, bounded_config);
 
   std::uint64_t exact_total = 0;
   std::uint64_t bounded_total = 0;
@@ -283,33 +245,39 @@ TEST(SketchAdmissionDifferential, PlantedEventRecallAndPrecisionVsExact) {
 }
 
 TEST(SketchAdmissionDifferential, BoundedFoldComposesWithStreamingPipeline) {
-  // The sketch tier plugs into run_pipeline_streaming as its fold_provider;
-  // the pipeline must analyse the lossy fold exactly as the oracle does.
+  // The sketch tier plugs into run_pipeline as its fold_provider; the
+  // pipeline must analyse the lossy fold exactly as the oracle does.  At 4
+  // workers several epochs fold at once, so fold() must be re-entrant.
   const SessionTable trace = planted_trace(6);
-  SketchAdmission admission_a{
-      SketchAdmissionParams{.max_cells = 200 * std::size_t{kFullMask}}};
   SketchAdmission admission_b{
       SketchAdmissionParams{.max_cells = 200 * std::size_t{kFullMask}}};
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    SketchAdmission admission_a{
+        SketchAdmissionParams{.max_cells = 200 * std::size_t{kFullMask}}};
+    PipelineConfig config;
+    config.cluster_params.min_sessions = 60;
+    config.workers = workers;
+    config.fold_provider = [&](const SessionColumns& columns,
+                               const ProblemThresholds& thresholds,
+                               std::uint32_t epoch) {
+      return admission_a.fold(columns, thresholds, epoch);
+    };
+    TableColumnsSource source{trace};
+    const PipelineResult streamed = run_pipeline(source, config);
+    EXPECT_EQ(admission_a.report().epochs, trace.num_epochs());
+    EXPECT_EQ(admission_a.report().sessions_seen, trace.size());
 
-  PipelineConfig config;
-  config.cluster_params.min_sessions = 60;
-  config.fold_provider = [&](const SessionColumns& columns,
-                             const ProblemThresholds& thresholds,
-                             std::uint32_t epoch) {
-    return admission_a.fold(columns, thresholds, epoch);
-  };
-  TableColumnsSource source{trace};
-  const PipelineResult streamed = run_pipeline_streaming(source, config);
-
-  for (std::uint32_t e = 0; e < trace.num_epochs(); ++e) {
-    const LeafFold fold = admission_b.fold(
-        SessionColumns::from_sessions(trace.epoch(e), e), config.thresholds,
-        e);
-    const oracle::Lattice lattice = oracle::lattice(fold);
-    for (const Metric m : kAllMetrics) {
-      test::expect_same_analysis(
-          oracle::critical(lattice, config.cluster_params, m),
-          streamed.at(m, e).analysis);
+    for (std::uint32_t e = 0; e < trace.num_epochs(); ++e) {
+      const LeafFold fold = admission_b.fold(
+          SessionColumns::from_sessions(trace.epoch(e), e), config.thresholds,
+          e);
+      const oracle::Lattice lattice = oracle::lattice(fold);
+      for (const Metric m : kAllMetrics) {
+        test::expect_same_analysis(
+            oracle::critical(lattice, config.cluster_params, m),
+            streamed.at(m, e).analysis);
+      }
     }
   }
 }

@@ -9,8 +9,9 @@
 // Trace files ending in .vqtr use the row-wise binary container, .vqtc the
 // out-of-core columnar container (src/gen/columnar.h); anything else is
 // treated as CSV.  --format csv|binary|columnar overrides the extension.
-// analyze and monitor stream .vqtc inputs one epoch at a time instead of
-// materializing the trace.
+// analyze and monitor read every format through one EpochColumnsSource;
+// .vqtc inputs stream, holding only the epochs in flight instead of the
+// whole trace.
 
 #include <algorithm>
 #include <csignal>
@@ -103,7 +104,8 @@ int usage() {
       "  vidqual report   --in FILE [--min-sessions N=auto] [--top K=5]\n"
       "\nFILEs ending in .vqtr are binary, .vqtc columnar; anything else is\n"
       "CSV (--format overrides the extension on generate/convert output).\n"
-      "analyze/monitor stream .vqtc inputs at O(one epoch) memory.\n"
+      "analyze/monitor stream .vqtc inputs, holding only the epochs in\n"
+      "flight: analyze runs up to --workers epochs at once, monitor one.\n"
       "monitor --checkpoint saves detector state after every epoch (atomic\n"
       "temp-then-rename) and resumes from it when the file exists, so a\n"
       "killed monitor replays no epoch and re-raises no incident.\n"
@@ -113,9 +115,9 @@ int usage() {
       "--stats-out writes the deterministic metric snapshot (byte-identical\n"
       "for any --workers); --trace-out writes per-stage spans as\n"
       "chrome://tracing / Perfetto JSON.\n"
-      "--max-cells N bounds the lattice by sketch-based admission: only\n"
-      "each epoch's heavy leaves (space-saving summary, N/127 leaf budget)\n"
-      "enter the exact lattice; global ratios stay exact.\n"
+      "--max-cells N bounds the lattice by sketch-based admission on any\n"
+      "input format: only each epoch's heavy leaves (space-saving summary,\n"
+      "N/127 leaf budget) enter the exact lattice; global ratios stay exact.\n"
       "Every subcommand rejects options it does not define (exit 2).\n");
   return 2;
 }
@@ -225,6 +227,59 @@ RobustLoadedTrace load_robust(std::string_view path, ErrorPolicy policy) {
   }
   return loaded;
 }
+
+/// The input of analyze and monitor, opened once: a .vqtc streams through
+/// ColumnarReader, holding only the epochs in flight; other formats load
+/// whole (load_robust) and TableColumnsSource serves them.
+class EpochInput {
+ public:
+  EpochInput(std::string_view path, ErrorPolicy policy) : policy_{policy} {
+    if (format_for_path(path) == TraceFormat::kColumnar) {
+      reader_.emplace(std::filesystem::path{std::string{path}},
+                      RobustReadOptions{.policy = policy});
+    } else {
+      loaded_.emplace(load_robust(path, policy));
+      table_source_.emplace(loaded_->table, loaded_->report.degraded_epochs());
+    }
+  }
+
+  [[nodiscard]] EpochColumnsSource& source() noexcept {
+    if (reader_) return *reader_;
+    return *table_source_;
+  }
+  [[nodiscard]] std::uint64_t total_sessions() const noexcept {
+    return reader_ ? reader_->total_sessions() : loaded_->table.size();
+  }
+  [[nodiscard]] const AttributeSchema& schema() const noexcept {
+    return reader_ ? reader_->schema() : loaded_->schema;
+  }
+  /// A loaded trace's degraded epochs, including a trailing one that lost
+  /// every row (past the table's last epoch, so no read reports it); empty
+  /// for a streamed input, whose reads report every degraded epoch.
+  [[nodiscard]] std::vector<std::uint32_t> loaded_degraded_epochs() const {
+    return loaded_ ? loaded_->report.degraded_epochs()
+                   : std::vector<std::uint32_t>{};
+  }
+
+  /// Publishes a streamed input's ingest damage once reading is done (a
+  /// loaded input reported it at load).
+  void finish() const {
+    if (!reader_) return;
+    const IngestReport report = reader_->report();
+    publish_ingest_metrics(report);
+    if (report.degraded()) {
+      std::fprintf(stderr, "ingest (%s): %s\n",
+                   std::string{error_policy_name(policy_)}.c_str(),
+                   report.summary().c_str());
+    }
+  }
+
+ private:
+  ErrorPolicy policy_;
+  std::optional<ColumnarReader> reader_;
+  std::optional<RobustLoadedTrace> loaded_;
+  std::optional<TableColumnsSource> table_source_;  // views loaded_->table
+};
 
 /// --stats-out / --trace-out plumbing shared by analyze and monitor.
 struct ObsRequest {
@@ -393,52 +448,24 @@ int cmd_analyze(const ArgParser& args) {
       return sketch->fold(columns, thresholds, epoch);
     };
   }
-  // fold_provider is streaming-only (pipeline.h); non-columnar inputs go
-  // through TableColumnsSource (columns.h) when it is set.
-  const bool force_streaming = max_cells > 0;
 
-  // Columnar inputs stream epoch-by-epoch (O(one epoch) memory); the other
-  // formats materialize.  Both paths produce identical reports on the same
-  // sessions — both fold with fold_sessions_columns.
-  PipelineResult result;
-  AttributeSchema schema;
-  if (format_for_path(*in) == TraceFormat::kColumnar) {
-    ColumnarReader reader{std::filesystem::path{std::string{*in}},
-                          RobustReadOptions{.policy = *policy}};
-    config.cluster_params.min_sessions = auto_min_sessions_from(
-        reader.total_sessions(), reader.num_epochs(), args);
-    std::fprintf(stderr, "analyzing %zu sessions over %u epochs "
-                 "(min_sessions=%u)...\n",
-                 static_cast<std::size_t>(reader.total_sessions()),
-                 reader.num_epochs(), config.cluster_params.min_sessions);
-    result = run_pipeline_streaming(reader, config);
-    const IngestReport report = reader.report();
-    publish_ingest_metrics(report);
-    if (report.degraded()) {
-      std::fprintf(stderr, "ingest (%s): %s\n",
-                   std::string{error_policy_name(*policy)}.c_str(),
-                   report.summary().c_str());
-    }
-    schema = reader.take_schema();
-  } else {
-    RobustLoadedTrace loaded = load_robust(*in, *policy);
-    const std::vector<std::uint32_t> degraded =
-        loaded.report.degraded_epochs();
-    config.cluster_params.min_sessions = auto_min_sessions(loaded.table, args);
-    std::fprintf(stderr, "analyzing %zu sessions over %u epochs "
-                 "(min_sessions=%u)...\n",
-                 loaded.table.size(), loaded.table.num_epochs(),
-                 config.cluster_params.min_sessions);
-    if (force_streaming) {
-      TableColumnsSource source{loaded.table, degraded};
-      result = run_pipeline_streaming(source, config);
-    } else {
-      result = run_pipeline(loaded.table, config, degraded);
-    }
-    schema = std::move(loaded.schema);
+  EpochInput input{*in, *policy};
+  EpochColumnsSource& source = input.source();
+  config.cluster_params.min_sessions =
+      auto_min_sessions_from(input.total_sessions(), source.num_epochs(), args);
+  std::fprintf(stderr, "analyzing %ju sessions over %u epochs "
+               "(min_sessions=%u)...\n",
+               static_cast<std::uintmax_t>(input.total_sessions()),
+               source.num_epochs(), config.cluster_params.min_sessions);
+  PipelineResult result = run_pipeline(source, config);
+  input.finish();
+  if (std::vector<std::uint32_t> degraded = input.loaded_degraded_epochs();
+      !degraded.empty()) {
+    result.degraded_epochs = std::move(degraded);
   }
+  const AttributeSchema& schema = input.schema();
   if (sketch.has_value()) {
-    const SketchAdmissionReport& rep = sketch->report();
+    const SketchAdmissionReport rep = sketch->report();
     std::fprintf(stderr,
                  "sketch admission: %ju of %ju sessions admitted over %ju "
                  "epochs (budget %zu leaves/epoch, %ju admitted leaves, %ju "
@@ -696,33 +723,15 @@ int cmd_monitor(const ArgParser& args) {
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);  // before ingest spans start
 
-  // Columnar inputs stream one epoch's columns per detector ingest; the
-  // other formats load the whole trace and feed it through the same
-  // one-epoch-at-a-time source interface.
-  const bool streaming = format_for_path(*in) == TraceFormat::kColumnar;
-  std::optional<ColumnarReader> reader;
-  std::optional<RobustLoadedTrace> loaded;
-  std::optional<TableColumnsSource> table_source;
-  EpochColumnsSource* source = nullptr;
-  std::uint64_t total_sessions = 0;
-  if (streaming) {
-    reader.emplace(std::filesystem::path{std::string{*in}},
-                   RobustReadOptions{.policy = *policy});
-    total_sessions = reader->total_sessions();
-    source = &*reader;
-  } else {
-    loaded.emplace(load_robust(*in, *policy));
-    total_sessions = loaded->table.size();
-    source = &table_source.emplace(loaded->table,
-                                   loaded->report.degraded_epochs());
-  }
-  const std::uint32_t num_epochs = source->num_epochs();
-  const AttributeSchema& schema = streaming ? reader->schema()
-                                            : loaded->schema;
+  // One epoch's columns per detector ingest, whatever the format.
+  EpochInput input{*in, *policy};
+  EpochColumnsSource& source = input.source();
+  const std::uint32_t num_epochs = source.num_epochs();
+  const AttributeSchema& schema = input.schema();
 
   MonitorConfig config;
   config.cluster_params.min_sessions =
-      auto_min_sessions_from(total_sessions, num_epochs, args);
+      auto_min_sessions_from(input.total_sessions(), num_epochs, args);
   config.escalate_after =
       static_cast<std::uint32_t>(args.option_u64("delay", 1));
   config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
@@ -756,7 +765,7 @@ int cmd_monitor(const ArgParser& args) {
   SessionColumns columns;  // reused across epochs
   for (std::uint32_t e = start; e < num_epochs; ++e) {
     const EpochDataQuality quality{.degraded =
-                                       source->read_epoch(e, columns)};
+                                       source.read_epoch(e, columns)};
     for (const IncidentEvent& event : detector.ingest(columns, e, quality)) {
       print_incident(event, schema.describe(event.incident.key));
     }
@@ -770,15 +779,7 @@ int cmd_monitor(const ArgParser& args) {
       return write_obs_outputs(obs_req);
     }
   }
-  if (streaming) {
-    const IngestReport report = reader->report();
-    publish_ingest_metrics(report);
-    if (report.degraded()) {
-      std::fprintf(stderr, "ingest (%s): %s\n",
-                   std::string{error_policy_name(*policy)}.c_str(),
-                   report.summary().c_str());
-    }
-  }
+  input.finish();
   print_monitor_summary(detector);
   return write_obs_outputs(obs_req);
 }
